@@ -4,7 +4,9 @@ import (
 	"runtime"
 
 	"flexdriver/internal/ethswitch"
+	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/swdriver"
 )
 
 // Facade re-exports for the switched fabric.
@@ -170,6 +172,27 @@ func (c *Cluster) RunUntil(deadline Time) {
 	c.group.RunUntil(deadline)
 }
 
+// RunWatched is a run under a recovery watchdog: sweep runs as a
+// Control (every shard quiesced at the tick, so it may touch any node) at
+// start and then every period until deadline, and the cluster runs
+// through deadline. It then drains to quiescence, gives sweep one final
+// pass in case an error surfaced after its last tick, and drains
+// whatever that pass scheduled.
+func (c *Cluster) RunWatched(start Time, period Duration, deadline Time, sweep func()) {
+	var tick func()
+	tick = func() {
+		sweep()
+		if c.Now() < deadline {
+			c.Control(c.Now()+period, tick)
+		}
+	}
+	c.Control(start, tick)
+	c.RunUntil(deadline)
+	c.Run()
+	sweep()
+	c.Run()
+}
+
 // prepare resolves the worker count just before a run: 0 means one
 // worker per CPU; the TLP flight recorder — a single unlocked ring
 // buffer — forces the (identical) sequential schedule.
@@ -198,6 +221,55 @@ func (c *Cluster) AddInnova(name string) *Innova {
 	inn := c.buildInnova(name)
 	c.join(inn.NIC)
 	return inn
+}
+
+// AddClient racks a plain host carrying one raw-Ethernet port (512-entry
+// rings) that its eSwitch steers frames addressed to the host's own IP
+// into; flooded frames meant for other nodes miss.
+func (c *Cluster) AddClient(name string) (*Host, *EthPort) {
+	h := c.AddHost(name)
+	port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
+	ip := h.NIC.IP
+	h.NIC.ESwitch().AddRule(0, Rule{Match: Match{DstIP: &ip}, Action: Action{ToRQ: port.RQ()}})
+	return h, port
+}
+
+// PinFDB programs the switch's forwarding table statically — every
+// host's MAC, then every Innova's, pinned to its port — so no frame ever
+// floods: loss accounting stays exact, and a dead node's traffic is
+// dropped at its own port rather than delivered as flood copies.
+func (c *Cluster) PinFDB() {
+	sw := c.Switch()
+	for _, h := range c.Hosts {
+		sw.Program(h.NIC.MAC, c.ports[h.NIC])
+	}
+	for _, inn := range c.Innovas {
+		sw.Program(inn.NIC.MAC, c.ports[inn.NIC])
+	}
+}
+
+// PCIeMismatches counts the PCIe ports, across every node, whose
+// telemetry byte counters (<node>/pcie/<dev>/{up,down}/bytes in snap)
+// disagree with the fabric's independent Port.{Up,Down}Bytes
+// accounting: zero when telemetry reconciles byte-exactly.
+func (c *Cluster) PCIeMismatches(snap Snapshot) int {
+	m := 0
+	count := func(node string, fab *pcie.Fabric) {
+		for _, p := range fab.Ports() {
+			dev := p.Device().PCIeName()
+			if snap.Get(node+"/pcie/"+dev+"/up/bytes") != p.UpBytes ||
+				snap.Get(node+"/pcie/"+dev+"/down/bytes") != p.DownBytes {
+				m++
+			}
+		}
+	}
+	for _, inn := range c.Innovas {
+		count(inn.name, inn.Fab)
+	}
+	for _, h := range c.Hosts {
+		count(h.name, h.Fab)
+	}
+	return m
 }
 
 // buildHost constructs a node on a fresh shard without cabling it;

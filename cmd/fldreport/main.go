@@ -90,8 +90,8 @@ func main() {
 		{"table3", "per-queue-type doorbell/CQE costs vs Table 3", exps.Table3},
 		{"table4", "PCIe TLP round-trip accounting vs Table 4", exps.Table4},
 		{"table5", "ZUC accelerator throughput vs Table 5", exps.Table5},
-		{"fig4", "doorbell batching sweep vs Figure 4", exps.Fig4},
-		{"fig7a", "single-core packet-rate ceiling vs Figure 7a", exps.Fig7a},
+		{"fig4", "driver memory scaling model vs Figure 4", exps.Fig4},
+		{"fig7a", "PCIe vs Ethernet performance model vs Figure 7a", exps.Fig7a},
 		{"fig7b", "throughput by frame size vs Figure 7b", func() *exps.Result { return exps.Fig7b(sizes, window) }},
 		{"fig7c", "latency under load vs Figure 7c", func() *exps.Result { return exps.Fig7c(fractions, loadSamples) }},
 		{"table6", "round-trip latency percentiles vs Table 6", func() *exps.Result { return exps.Table6(latSamples) }},

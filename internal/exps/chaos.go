@@ -1,9 +1,11 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
+	"flexdriver/internal/netpkt"
 	"flexdriver/internal/nic"
 	"flexdriver/internal/swdriver"
 )
@@ -78,39 +80,27 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	// Server: one Innova whose FLD runs the header-swapping echo (the
 	// switch's source filter would eat verbatim hairpin replies).
 	srv := cl.AddInnova("server")
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
-	srv.RT.Start()
-	installSwapEcho(srv.FLD)
+	srv.ServeFLDs(1, func(rt *flexdriver.Runtime) { installSwapEcho(rt.FLD()) })
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
 
 	// Client: a software port steered on its own IP, watched by the
 	// supervision ladder (crash classes leave its rings errored with the
 	// announcing CQEs unDMAable — only the ladder can notice).
-	cli := cl.AddHost("client")
-	port := cli.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-	ip := cli.NIC.IP
-	cli.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Match:  flexdriver.Match{DstIP: &ip},
-		Action: flexdriver.Action{ToRQ: port.RQ()}})
+	cli, port := cl.AddClient("client")
 	sup := flexdriver.NewSupervisor(cli.Drv, seed)
 	sup.SetTelemetry(reg.Scope("client").Scope("supervisor"))
 
 	// Sequence-stamped frames: the payload's first 8 bytes carry the send
 	// ordinal, so loss and duplication are measured per frame, not from
 	// aggregate counts. The map lives on the client's shard.
-	base := clusterFrame(cli.NIC, srv.NIC, 4000, 7777, size)
-	const seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
+	base := netpkt.UDPFrame(cli.NIC.MAC, srv.NIC.MAC, cli.NIC.IP, srv.NIC.IP, 4000, 7777,
+		make([]byte, size-netpkt.UDPFrameOverhead))
+	const seqOff = netpkt.UDPFrameOverhead
 	var sent int64
 	recv := make(map[int64]int64)
 	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 		if len(fr) >= seqOff+8 {
-			var seq int64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | int64(fr[seqOff+i])
-			}
-			recv[seq]++
+			recv[int64(binary.BigEndian.Uint64(fr[seqOff:]))]++
 		}
 	}
 
@@ -120,11 +110,7 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	deadline := warmup + window + drain
 	paceSends(cli.Engine(), interval, deadline, func() {
 		f := append([]byte(nil), base...)
-		seq := sent
-		for i := 7; i >= 0; i-- {
-			f[seqOff+i] = byte(seq)
-			seq >>= 8
-		}
+		binary.BigEndian.PutUint64(f[seqOff:], uint64(sent))
 		sent++
 		port.Send(f)
 	})
@@ -133,24 +119,10 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	// kicks the client's supervision ladder and the server runtime's
 	// queue scans, so Error states whose announcing CQE was lost (or
 	// never DMA-able: the device was crashed) still get noticed.
-	var watchdog func()
-	watchdog = func() {
+	cl.RunWatched(warmup, 20*flexdriver.Microsecond, deadline, func() {
 		sup.Kick()
 		srv.RT.Recover()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	// Quiesce: drain in-flight work, then give the watchdogs one final
-	// pass in case an error surfaced after their last tick, and drain the
-	// recovery they may have scheduled.
-	cl.Run()
-	sup.Kick()
-	srv.RT.Recover()
-	cl.Run()
+	})
 
 	inj := plan.Injected
 	var lost, dups int64
@@ -250,7 +222,7 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	r.Check("no recovery episode abandoned", 0, float64(abandoned), "episodes",
 		abandoned == 0, "")
 	if episodes > 0 {
-		bound := 3*maxCrashFor(cfg) + 100*flexdriver.Microsecond
+		bound := 3*cfg.MaxCrashFor() + 100*flexdriver.Microsecond
 		worst := flexdriver.Duration(snap.Gauges["client/supervisor/mttr_max"].High)
 		r.Check("MTTR bounded", float64(bound)/1e6, float64(worst)/1e6, "us",
 			worst <= bound, "detection -> healthy, worst episode")
@@ -261,20 +233,6 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	r.Check("sim engine quiesced", 0, float64(cl.Pending()), "events",
 		cl.Pending() == 0, "no wedged retry loops")
 	return r, snap.Hash()
-}
-
-// maxCrashFor returns the longest configured crash-downtime window —
-// the dominant term of any honest MTTR bound: an episode detected the
-// instant a component dies cannot close before the component returns.
-func maxCrashFor(cfg flexdriver.FaultsConfig) flexdriver.Duration {
-	m := cfg.FLDResetFor
-	for _, d := range []flexdriver.Duration{cfg.NICFLRFor, cfg.NodeCrashFor,
-		cfg.DrvCrashFor, cfg.SwRebootFor, cfg.PartFor, cfg.FlapFor} {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func orHeavy(spec string) string {

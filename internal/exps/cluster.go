@@ -1,12 +1,11 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
 	"flexdriver/internal/netpkt"
-	"flexdriver/internal/nic"
-	"flexdriver/internal/pcie"
 	"flexdriver/internal/perfmodel"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
@@ -84,45 +83,15 @@ type clusterPoint struct {
 	telemHash      string // SHA-256 of the final telemetry snapshot
 }
 
-// swapEcho reverses a UDP frame in place — Ethernet addresses, IPv4
-// addresses, UDP ports — so the reply routes back through the switch to
-// the sender. Pure swaps keep the IPv4 header checksum valid.
-func swapEcho(f []byte) {
-	if len(f) < netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.UDPHeaderLen {
-		return
-	}
-	for i := 0; i < 6; i++ {
-		f[i], f[6+i] = f[6+i], f[i]
-	}
-	for i := 0; i < 4; i++ {
-		f[26+i], f[30+i] = f[30+i], f[26+i]
-	}
-	f[34], f[36] = f[36], f[34]
-	f[35], f[37] = f[37], f[35]
-}
-
 // installSwapEcho installs a cluster-aware echo AFU: unlike the verbatim
 // echo (whose replies would hairpin into the switch's source filter), it
 // swaps the headers so each reply is addressed to its client.
 func installSwapEcho(f *flexdriver.FLD) {
 	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
 		out := append([]byte(nil), data...)
-		swapEcho(out)
+		netpkt.SwapEcho(out)
 		f.Send(0, out, md) //nolint:errcheck // credit-stall drops are open-loop loss
 	}))
-}
-
-// clusterFrame builds a UDP frame between two concrete NICs.
-func clusterFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
 }
 
 // balancedFlows picks source ports whose RSS hash spreads the client's
@@ -141,29 +110,14 @@ func balancedFlowsFrom(src *flexdriver.NIC, srv *flexdriver.Innova, flows, cores
 	count := make([]int, cores)
 	var out [][]byte
 	for sport := base; len(out) < per*cores && sport < 65000; sport++ {
-		f := clusterFrame(src, srv.NIC, sport, 7777, size)
+		f := netpkt.UDPFrame(src.MAC, srv.NIC.MAC, src.IP, srv.NIC.IP, sport, 7777,
+			make([]byte, size-netpkt.UDPFrameOverhead))
 		if b := int(netpkt.RSSHash(f)) % cores; count[b] < per {
 			count[b]++
 			out = append(out, f)
 		}
 	}
 	return out
-}
-
-// pcieMismatches is the quiet form of reconcilePCIe: it compares every
-// port's telemetry byte counters against the fabric's independent
-// accounting and returns only the mismatch count (the cluster sweep has
-// too many nodes for per-port rows).
-func pcieMismatches(snap flexdriver.Snapshot, node string, fab *pcie.Fabric) int {
-	m := 0
-	for _, p := range fab.Ports() {
-		dev := p.Device().PCIeName()
-		if snap.Get(node+"/pcie/"+dev+"/up/bytes") != p.UpBytes ||
-			snap.Get(node+"/pcie/"+dev+"/down/bytes") != p.DownBytes {
-			m++
-		}
-	}
-	return m
 }
 
 // runClusterPoint runs one sweep point: n clients, each an open-loop
@@ -181,22 +135,8 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	// Server: one Innova, FLDCores cores behind an RSS TIR, each running
 	// the header-swapping echo.
 	srv := cl.AddInnova("server")
-	rts := []*flexdriver.Runtime{srv.RT}
-	for i := 1; i < p.FLDCores; i++ {
-		_, rt := srv.AddFLD(srv.FLD.Config())
-		rts = append(rts, rt)
-	}
-	var rqs []*nic.RQ
-	for _, rt := range rts {
-		rt.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(rt)
-		ecp.InstallDefaultEgressToWire()
-		rt.Start()
-		installSwapEcho(rt.FLD())
-		rqs = append(rqs, rt.RQ())
-	}
-	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
+	rts := srv.ServeFLDs(p.FLDCores, func(rt *flexdriver.Runtime) { installSwapEcho(rt.FLD()) })
+	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToTIR: flexdriver.RSS(rts)}})
 
 	// Clients: RSS-balanced flow sets, sequence stamping for RTT,
 	// steering on own IP (flooded frames for other nodes miss). One
@@ -205,7 +145,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	// accumulator (latencies, rx bytes) is private to that host's shard
 	// during the run and merged afterwards — shards run on real
 	// goroutines, so shared accumulators would race.
-	const seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
+	const seqOff = netpkt.UDPFrameOverhead
 	measuring := false
 	type client struct {
 		eng    *sim.Engine
@@ -221,11 +161,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 			if len(fr) < seqOff+8 || !measuring {
 				return
 			}
-			var seq int64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | int64(fr[seqOff+i])
-			}
-			if seq < int64(len(c.sendAt)) {
+			if seq := int64(binary.BigEndian.Uint64(fr[seqOff:])); seq < int64(len(c.sendAt)) {
 				c.lat = append(c.lat, (c.eng.Now()-c.sendAt[seq]).Seconds()*1e6)
 			}
 			c.rxB += int64(len(fr))
@@ -263,11 +199,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 					}
 				},
 				OnSend: func(_ int, f []byte) {
-					seq := c.sent
-					for i := 7; i >= 0; i-- {
-						f[seqOff+i] = byte(seq)
-						seq >>= 8
-					}
+					binary.BigEndian.PutUint64(f[seqOff:], uint64(c.sent))
 					c.sendAt = append(c.sendAt, c.eng.Now())
 					c.sent++
 				},
@@ -279,12 +211,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 		}
 	} else {
 		for ci := 0; ci < n; ci++ {
-			h := cl.AddHost(fmt.Sprintf("client%d", ci))
-			port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-			ip := h.NIC.IP
-			h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstIP: &ip},
-				Action: flexdriver.Action{ToRQ: port.RQ()}})
+			h, port := cl.AddClient(fmt.Sprintf("client%d", ci))
 			c := &client{eng: h.Engine(), port: port,
 				frames: balancedFlows(h, srv, p.FlowsPerClient, p.FLDCores, p.FrameSize)}
 			hookRecv(c)
@@ -303,11 +230,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 					return
 				}
 				f := append([]byte(nil), c.frames[int(c.sent)%len(c.frames)]...)
-				seq := c.sent
-				for i := 7; i >= 0; i-- {
-					f[seqOff+i] = byte(seq)
-					seq >>= 8
-				}
+				binary.BigEndian.PutUint64(f[seqOff:], uint64(c.sent))
 				c.sendAt = append(c.sendAt, c.eng.Now())
 				c.sent++
 				c.port.Send(f)
@@ -362,10 +285,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	}
 	snap := reg.Snapshot()
 	pt.telemHash = snap.Hash()
-	pt.pcieMismatches = pcieMismatches(snap, "server", srv.Fab)
-	for _, h := range cl.Hosts {
-		pt.pcieMismatches += pcieMismatches(snap, h.Name(), h.Fab)
-	}
+	pt.pcieMismatches = cl.PCIeMismatches(snap)
 	return pt
 }
 

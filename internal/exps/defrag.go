@@ -153,19 +153,6 @@ func defragSenderParams(cfg DefragConfig) flexdriver.DriverParams {
 	return p
 }
 
-// vxlanEncap wraps a frame for the tunnel configurations.
-func vxlanEncap(inner []byte, vni uint32) []byte {
-	vx := netpkt.VXLAN{VNI: vni}
-	l5 := append(vx.Marshal(nil), inner...)
-	udp := netpkt.UDP{SrcPort: 41000, DstPort: netpkt.VXLANPort, Length: uint16(netpkt.UDPHeaderLen + len(l5))}
-	l4 := append(udp.Marshal(nil), l5...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(21), Dst: netpkt.IPFrom(22)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(22), Src: netpkt.MACFrom(21), EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
 // defragThroughput measures one configuration's delivered application
 // goodput in Gbit/s.
 func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) float64 {
@@ -217,7 +204,8 @@ func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) f
 	const routeMTU = 1450
 	var frames [][]byte
 	for f := 0; f < flows; f++ {
-		frame := buildFrame(pktSize, uint16(40000+f), 5201)
+		frame := netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
+			uint16(40000+f), 5201, make([]byte, pktSize-netpkt.UDPFrameOverhead))
 		switch cfg {
 		case NoFrag:
 			frames = append(frames, frame)
@@ -235,7 +223,9 @@ func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) f
 				panic(err)
 			}
 			for _, fr := range frags {
-				frames = append(frames, vxlanEncap(fr, 99))
+				frames = append(frames, netpkt.UDPFrame(netpkt.MACFrom(21), netpkt.MACFrom(22),
+					netpkt.IPFrom(21), netpkt.IPFrom(22), 41000, netpkt.VXLANPort,
+					append(netpkt.VXLAN{VNI: 99}.Marshal(nil), fr...)))
 			}
 		}
 	}

@@ -173,3 +173,41 @@ func TestChaosSeqParIdentical(t *testing.T) {
 		}
 	}
 }
+
+// The pins below fix the switched serving experiments (kvserve, tenancy,
+// failover) and one scenario per workload variant to the sequential
+// reference schedule's telemetry hash, so refactors of the shared
+// testbed builders are proven behavior-preserving down to the byte.
+// Same recapture rule as the goldens above.
+
+const goldenKVServeHash = "cab6728a6ae3c64040bd3ddbe3f2e5e4b1f57b7d22f31b3cb045ea945de26e6f"
+
+func TestKVServeTelemetryGolden(t *testing.T) {
+	p := DefaultKVServeParams(40 * sim.Microsecond)
+	p.Connections = 2000
+	p.Hosts = 4
+	p.Warmup = 20 * sim.Microsecond
+	p.Drain = 60 * sim.Microsecond
+	if got := KVServeTelemetryHash(p, 1); got != goldenKVServeHash {
+		t.Fatalf("fixed-seed kvserve telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenKVServeHash)
+	}
+}
+
+const goldenTenancyHash = "bbeb9a7c81c6ee53b372c631d5d5185b8fccf8ddb2fb4a52cf3c81dc3ced7b21"
+
+func TestTenancyTelemetryGolden(t *testing.T) {
+	if got := runTenancyPoint(1, 200*sim.Microsecond, 1).telemHash; got != goldenTenancyHash {
+		t.Fatalf("fixed-seed tenancy telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenTenancyHash)
+	}
+}
+
+const goldenFailoverHash = "ffd1dba490282850bfabe7076fb7052b95c20145ec8166b86869eaf844bb55f5"
+
+func TestFailoverTelemetryGolden(t *testing.T) {
+	if _, got := failoverRun(100*sim.Microsecond, 1); got != goldenFailoverHash {
+		t.Fatalf("failover telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenFailoverHash)
+	}
+}

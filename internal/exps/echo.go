@@ -7,6 +7,7 @@ import (
 	"flexdriver/internal/accel/echo"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 	"flexdriver/internal/swdriver"
 	"flexdriver/internal/trace"
@@ -74,21 +75,6 @@ func serverCPUParams() flexdriver.DriverParams {
 	}
 }
 
-func buildFrame(size int, sport, dport uint16) []byte {
-	if size < 46 {
-		size = 46
-	}
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(1), Dst: netpkt.IPFrom(2)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(1), EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
 // fldeRemoteBed wires the remote FLD-E echo topology and returns the
 // client port plus the server's AFU. Extra options (e.g. WithTelemetry)
 // are applied on top of the load-generator driver model.
@@ -96,12 +82,9 @@ func fldeRemoteBed(extra ...flexdriver.Option) (*flexdriver.RemotePair, *swdrive
 	opts := append([]flexdriver.Option{flexdriver.WithDriver(genDriverParams())}, extra...)
 	rp := flexdriver.NewRemotePair(opts...)
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	var afu *echo.AFU
+	srv.ServeFLDs(1, func(rt *flexdriver.Runtime) { afu = echo.New(rt.FLD()) })
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
-	afu := echo.New(srv.FLD)
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	rp.Client.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})
@@ -163,7 +146,8 @@ type echoBedFns struct {
 }
 
 func measureEcho(b echoBedFns, size int, offeredGbps float64, warmup, window flexdriver.Duration) float64 {
-	frame := buildFrame(size, 4000, 7777)
+	frame := netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
+		4000, 7777, make([]byte, size-netpkt.UDPFrameOverhead))
 	interval := flexdriver.Duration(float64(len(frame)*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	var rxBytes int64
 	measuring := false
@@ -417,7 +401,7 @@ func MixedTrace(window flexdriver.Duration) *Result {
 			}
 		}
 		// Offer slightly above line rate of mixed traffic.
-		rng := newRand(77)
+		rng := sim.NewRand(77)
 		var rxPkts, rxBytes int64
 		measuring := false
 		hook(func(n int) {
@@ -431,7 +415,8 @@ func MixedTrace(window flexdriver.Duration) *Result {
 		warmup := 150 * flexdriver.Microsecond
 		deadline := warmup + window + 100*flexdriver.Microsecond
 		paceSends(eng, interval, deadline, func() {
-			send(buildFrame(dist.Sample(rng), 4000, 7777))
+			send(netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
+				4000, 7777, make([]byte, dist.Sample(rng)-netpkt.UDPFrameOverhead)))
 		})
 		eng.RunUntil(warmup)
 		measuring = true
@@ -495,7 +480,8 @@ func Table6(samples int) *Result {
 // closedLoopRTT runs a one-in-flight 64 B echo and summarizes RTTs in us.
 func closedLoopRTT(eng *flexdriver.Engine, samples int,
 	send func([]byte), hookRx func(func())) stats.Summary {
-	frame := buildFrame(64, 5000, 6000)
+	frame := netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
+		5000, 6000, make([]byte, 64-netpkt.UDPFrameOverhead))
 	var s stats.Sample
 	var sentAt flexdriver.Time
 	n := 0
@@ -603,7 +589,7 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 	}
 	msg := make([]byte, size)
 	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := newRand(5)
+	rng := sim.NewRand(5)
 	sent := 0
 	var tick func()
 	tick = func() {
@@ -624,8 +610,6 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 	}
 	return lat.Median(), lat.Percentile(99), float64(rxBytes) * 8 / dur.Seconds() / 1e9
 }
-
-func engOf(inn *flexdriver.Innova) *flexdriver.Engine { return inn.Engine() }
 
 // fldrLocalLowLoadLatency measures the single-node FLD-R echo RTT: the
 // client endpoint lives on the Innova host and its QP loops back through

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flexdriver"
+	"flexdriver/internal/netpkt"
 	"flexdriver/internal/swdriver"
 )
 
@@ -35,6 +36,13 @@ func Failover(window flexdriver.Duration) *Result {
 // FailoverWorkers is Failover with the cluster scheduler's worker count
 // pinned (0 = one per CPU, 1 = the sequential reference).
 func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
+	r, _ := failoverRun(window, workers)
+	return r
+}
+
+// failoverRun runs the experiment and also returns the SHA-256 of the
+// final telemetry snapshot — the determinism tests' replay pin.
+func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 	r := &Result{ID: "failover",
 		Title: "Node crash failover: 4 clients vs 2 Innova echo servers, one crash-restarts"}
 	r.Columns = []string{"client", "primary", "failover us", "rejoin us", "replies", "loss"}
@@ -65,14 +73,10 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 	servers := make([]*flexdriver.Innova, 2)
 	for i := range servers {
 		srv := cl.AddInnova(fmt.Sprintf("server%c", 'A'+i))
-		srv.RT.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(srv.RT)
-		ecp.InstallDefaultEgressToWire()
-		srv.RT.Start()
-		installSwapEcho(srv.FLD)
+		srv.ServeFLDs(1, func(rt *flexdriver.Runtime) { installSwapEcho(rt.FLD()) })
 		// Steer only frames addressed to this server into the echo AFU. A
 		// match-all rule would let a flooded frame destined to the *other*
-		// server be echoed here — and because swapEcho swaps the Ethernet
+		// server be echoed here — and because SwapEcho swaps the Ethernet
 		// header too, that reply would carry the other server's source MAC
 		// and poison the switch's learned FDB.
 		srvIP := srv.NIC.IP
@@ -100,29 +104,20 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 	}
 	clients := make([]*client, 0, 4)
 	for ci := 0; ci < 4; ci++ {
-		h := cl.AddHost(fmt.Sprintf("client%d", ci))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
+		h, port := cl.AddClient(fmt.Sprintf("client%d", ci))
 		c := &client{name: fmt.Sprintf("client%d", ci), eng: h.Engine(), port: port,
 			primary: servers[ci%2], target: servers[ci%2], lastRx: -1}
-		myNIC := h.NIC
+		frameTo := func(dst *flexdriver.Innova) []byte {
+			return netpkt.UDPFrame(h.NIC.MAC, dst.NIC.MAC, h.NIC.IP, dst.NIC.IP, 4000+uint16(ci), 7777,
+				make([]byte, size-netpkt.UDPFrameOverhead))
+		}
 		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 			if len(fr) < 34 {
 				return
 			}
 			c.recv++
 			c.lastRx = c.eng.Now()
-			fromPrimary := true
-			for i := 0; i < 4; i++ { // IPv4 source at Eth(14)+12
-				if fr[26+i] != c.primary.NIC.IP[i] {
-					fromPrimary = false
-					break
-				}
-			}
-			if fromPrimary {
+			if netpkt.IP(fr[26:30]) == c.primary.NIC.IP { // IPv4 source at Eth(14)+12
 				if c.failedAt > 0 && c.rejoinAt == 0 {
 					// The probe came back: the primary is serving again.
 					c.rejoinAt = c.eng.Now()
@@ -152,10 +147,10 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 			}
 			if c.target != c.primary && now-c.lastProb >= probeEvery {
 				c.lastProb = now
-				c.port.Send(clusterFrame(myNIC, c.primary.NIC, 4000+uint16(ci), 7777, size))
+				c.port.Send(frameTo(c.primary))
 			}
 			c.sent++
-			c.port.Send(clusterFrame(myNIC, c.target.NIC, 4000+uint16(ci), 7777, size))
+			c.port.Send(frameTo(c.target))
 			c.eng.After(interval, tick)
 		}
 		c.eng.After(interval, tick)
@@ -165,13 +160,7 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 	// Pin every MAC to its port so no frame ever floods: loss accounting
 	// stays exact and a dead server's traffic is dropped at its own port
 	// rather than delivered to a flood copy.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	for _, inn := range cl.Innovas {
-		sw.Program(inn.NIC.MAC, cl.PortOf(inn.NIC))
-	}
+	cl.PinFDB()
 
 	// The crash and restart are cluster-wide barrier actions: every shard
 	// observes a consistent instant for the whole failure domain.
@@ -180,23 +169,11 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 
 	// Watchdog sweep: server runtimes scan for silently-errored queues
 	// (a crashed device cannot DMA the CQE that would announce them).
-	var watchdog func()
-	watchdog = func() {
+	cl.RunWatched(warmup, 20*flexdriver.Microsecond, deadline, func() {
 		for _, srv := range servers {
 			srv.RT.Recover()
 		}
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	cl.Run()
-	for _, srv := range servers {
-		srv.RT.Recover()
-	}
-	cl.Run()
+	})
 
 	allFailed, allRejoined, redistributed := true, true, true
 	maxFailover, maxRejoin := flexdriver.Duration(0), flexdriver.Duration(0)
@@ -244,7 +221,7 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 		"no silent self-heal: the watchdog's resets did this")
 	r.Check("sim engine quiesced", 0, float64(cl.Pending()), "events",
 		cl.Pending() == 0, "")
-	return r
+	return r, reg.Snapshot().Hash()
 }
 
 func srvName(s, crashed *flexdriver.Innova) string {

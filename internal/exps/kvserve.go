@@ -1,12 +1,12 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
 	"flexdriver/internal/accel/kv"
 	"flexdriver/internal/memmodel"
-	"flexdriver/internal/nic"
 	"flexdriver/internal/perfmodel"
 	"flexdriver/internal/rpc"
 	"flexdriver/internal/sim"
@@ -108,8 +108,8 @@ type kvPoint struct {
 // header checksum only covers the L3 header, so stamping L4 bytes keeps
 // the frame parseable.
 const (
-	kvSeqOff = 38                        // Eth(14) + IPv4(20) + seq at TCP+4
-	kvOpOff  = tcp.FrameOverhead + 1     // rpc op byte
+	kvSeqOff = 38                    // Eth(14) + IPv4(20) + seq at TCP+4
+	kvOpOff  = tcp.FrameOverhead + 1 // rpc op byte
 	kvIDOff  = tcp.FrameOverhead + rpc.IDOffset
 	kvKeyOff = tcp.FrameOverhead + rpc.HeaderLen
 )
@@ -127,23 +127,9 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 
 	// Server: FLDCores kv AFUs behind an RSS TIR, like the cluster echo.
 	srv := cl.AddInnova("server")
-	rts := []*flexdriver.Runtime{srv.RT}
-	for i := 1; i < p.FLDCores; i++ {
-		_, rt := srv.AddFLD(srv.FLD.Config())
-		rts = append(rts, rt)
-	}
-	var rqs []*nic.RQ
-	kvs := make([]*kv.AFU, 0, len(rts))
-	for _, rt := range rts {
-		rt.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(rt)
-		ecp.InstallDefaultEgressToWire()
-		rt.Start()
-		kvs = append(kvs, kv.New(rt.FLD()))
-		rqs = append(rqs, rt.RQ())
-	}
-	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
+	kvs := make([]*kv.AFU, 0, p.FLDCores)
+	rts := srv.ServeFLDs(p.FLDCores, func(rt *flexdriver.Runtime) { kvs = append(kvs, kv.New(rt.FLD())) })
+	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToTIR: flexdriver.RSS(rts)}})
 
 	// Clients: Connections flow-level TCP connections folded into Hosts
 	// aggregated sources. Connection gi owns arrival stream Seed*1000+gi
@@ -181,7 +167,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 		}
 		c := &client{}
 		b := base
-		zipf := sim.NewLightRand(p.Seed*77 + int64(hi)).Zipf(p.ZipfS, 1, uint64(p.Keys-1))
+		zipf := sim.NewLightRand(p.Seed*77+int64(hi)).Zipf(p.ZipfS, 1, uint64(p.Keys-1))
 		src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
 			Clients:    k,
 			StreamSeed: p.Seed*1000 + int64(b),
@@ -205,11 +191,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 			},
 			OnSend: func(ci int, f []byte) {
 				// Host-level ordinal for RTT correlation.
-				ord := c.sent
-				for i := 7; i >= 0; i-- {
-					f[kvIDOff+i] = byte(ord)
-					ord >>= 8
-				}
+				binary.BigEndian.PutUint64(f[kvIDOff:], uint64(c.sent))
 				c.sendAt = append(c.sendAt, c.eng.Now())
 				c.sent++
 				if measuring {
@@ -219,20 +201,14 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 				gi := b + ci
 				reqs := conns[gi]
 				conns[gi]++
-				seq := reqs * uint32(reqLen)
-				f[kvSeqOff], f[kvSeqOff+1] = byte(seq>>24), byte(seq>>16)
-				f[kvSeqOff+2], f[kvSeqOff+3] = byte(seq>>8), byte(seq)
+				binary.BigEndian.PutUint32(f[kvSeqOff:], reqs*uint32(reqLen))
 				if int(reqs)%p.PutEvery == 0 {
 					f[kvOpOff] = rpc.OpPut
 				} else {
 					f[kvOpOff] = rpc.OpGet
 				}
 				// Zipf-popular key, drawn on the host's popularity stream.
-				rank := zipf()
-				for i := 7; i >= 0; i-- {
-					f[kvKeyOff+i] = byte(rank)
-					rank >>= 8
-				}
+				binary.BigEndian.PutUint64(f[kvKeyOff:], zipf())
 			},
 		})
 		c.eng, c.port = src.Host.Engine(), src.Port
@@ -240,11 +216,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 			if len(fr) < kvIDOff+8 || !measuring {
 				return
 			}
-			var ord int64
-			for i := 0; i < 8; i++ {
-				ord = ord<<8 | int64(fr[kvIDOff+i])
-			}
-			if ord < int64(len(c.sendAt)) {
+			if ord := int64(binary.BigEndian.Uint64(fr[kvIDOff:])); ord < int64(len(c.sendAt)) {
 				c.lat = append(c.lat, (c.eng.Now()-c.sendAt[ord]).Seconds()*1e6)
 			}
 			c.respW++
@@ -290,10 +262,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 	}
 	snap := reg.Snapshot()
 	pt.hash = snap.Hash()
-	pt.pcieMismatches = pcieMismatches(snap, "server", srv.Fab)
-	for _, h := range cl.Hosts {
-		pt.pcieMismatches += pcieMismatches(snap, h.Name(), h.Fab)
-	}
+	pt.pcieMismatches = cl.PCIeMismatches(snap)
 	return pt
 }
 

@@ -86,7 +86,8 @@ func Table3() *Result {
 func Fig4() *Result {
 	r := &Result{ID: "fig4", Title: "Driver memory scaling (Figure 4); XCKU15P budget = 10.05 MiB"}
 	r.Columns = []string{"Gbps", "queues", "software", "FLD", "FLD fits"}
-	pts := memmodel.ScalabilitySweep([]float64{25, 50, 100, 200, 400}, []int{512, 2048})
+	pts := memmodel.ScalabilitySweep([]float64{25, 50, 100, 150, 200, 300, 400},
+		[]int{64, 128, 256, 512, 1024, 2048})
 	worstFLD := 0
 	for _, p := range pts {
 		fits := p.FLDBytes <= memmodel.XCKU15PBytes
@@ -130,7 +131,7 @@ func Table5() *Result {
 func Fig7a() *Result {
 	r := &Result{ID: "fig7a", Title: "Performance model: FLD vs raw Ethernet (Figure 7a)"}
 	r.Columns = []string{"config", "size", "Ethernet Gbps", "FLD Gbps", "fraction"}
-	sizes := []int{64, 128, 256, 512, 1024, 1500, 4096}
+	sizes := []int{64, 96, 128, 192, 256, 384, 512, 768, 1024, 1500, 2048, 4096}
 	for _, rate := range []float64{25, 50, 100} {
 		m := perfmodel.DefaultEchoModel(rate)
 		for _, p := range m.Sweep(sizes) {

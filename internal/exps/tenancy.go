@@ -1,10 +1,11 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
-	"flexdriver/internal/nic"
+	"flexdriver/internal/netpkt"
 	"flexdriver/internal/swdriver"
 )
 
@@ -123,8 +124,8 @@ func tenancySpecV2() flexdriver.TenancySpec {
 func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenancyPoint {
 	const (
 		size   = 512
-		seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
-		tagOff = 50 // tenant tag rides after the 8-byte sequence
+		seqOff = netpkt.UDPFrameOverhead
+		tagOff = seqOff + 8 // tenant tag rides after the 8-byte sequence
 		warmup = 50 * flexdriver.Microsecond
 		settle = 20 * flexdriver.Microsecond
 	)
@@ -155,47 +156,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	srv := cl.AddInnova("server")
 	tm := cl.ManageTenants(srv, seed)
 
-	// reSteer rebuilds the server's wire-ingress steering from the live,
-	// non-draining tenant set: one DstPort rule per tenant into its own
-	// runtimes' RQs. Runs only on the server's shard (provision and
-	// drain hooks fire inside reconciler events).
-	reSteer := func() {
-		esw := srv.NIC.ESwitch()
-		esw.ClearTable(0)
-		for i, name := range tenants {
-			if tm.Draining(name) {
-				continue
-			}
-			rts := tm.Runtimes(name)
-			if len(rts) == 0 {
-				continue
-			}
-			var rqs []*nic.RQ
-			for _, rt := range rts {
-				rqs = append(rqs, rt.RQ())
-			}
-			dp := ports[i]
-			esw.AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstPort: &dp},
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-		}
-	}
-	provisioned := make(map[*flexdriver.Runtime]bool)
-	tm.SetProvision(func(name string, t flexdriver.TenantSpec, rts []*flexdriver.Runtime) {
-		for _, rt := range rts {
-			if provisioned[rt] {
-				continue // bandwidth-only re-slice: the data plane stands
-			}
-			provisioned[rt] = true
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
-			installSwapEcho(rt.FLD())
-		}
-		reSteer()
-	})
-	tm.SetOnDrainChange(func(string) { reSteer() })
+	tm.SteerByPort(tenants, ports, func(_ string, rt *flexdriver.Runtime) { installSwapEcho(rt.FLD()) })
 	if err := cl.Apply(tenancySpecV1()); err != nil {
 		panic(err)
 	}
@@ -215,12 +176,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	}
 	clients := make([]*tclient, len(tenants))
 	for i := range tenants {
-		h := cl.AddHost(fmt.Sprintf("client%s", tenants[i]))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
+		h, port := cl.AddClient(fmt.Sprintf("client%s", tenants[i]))
 		c := &tclient{eng: h.Engine(), port: port}
 		tag := byte('A' + i)
 		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
@@ -245,7 +201,8 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 
 		// 5 Gbit/s offered per tenant: above A's cap (the shaper must
 		// bind), comfortably inside each core's echo capacity.
-		base := clusterFrame(h.NIC, srv.NIC, 4000+uint16(i), ports[i], size)
+		base := netpkt.UDPFrame(h.NIC.MAC, srv.NIC.MAC, h.NIC.IP, srv.NIC.IP, 4000+uint16(i), ports[i],
+			make([]byte, size-netpkt.UDPFrameOverhead))
 		base[tagOff] = tag
 		interval := flexdriver.Duration(float64(size*8) / 5e9 * float64(flexdriver.Second))
 		startAt := warmup
@@ -259,11 +216,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 				return
 			}
 			f := append([]byte(nil), base...)
-			seq := sent
-			for bi := 7; bi >= 0; bi-- {
-				f[seqOff+bi] = byte(seq)
-				seq >>= 8
-			}
+			binary.BigEndian.PutUint64(f[seqOff:], uint64(sent))
 			sent++
 			c.port.Send(f)
 			c.eng.After(interval, tick)
@@ -273,11 +226,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 
 	// Pin every MAC so nothing floods: a flooded reply reaching the wrong
 	// client would read as a leak when it is only switch behavior.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	sw.Program(srv.NIC.MAC, cl.PortOf(srv.NIC))
+	cl.PinFDB()
 
 	// Spec v2 lands mid-traffic as a cluster-wide barrier action.
 	cl.Control(reconfigAt, func() {
@@ -289,31 +238,10 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	// Watchdog: scan every tenant runtime for silently-errored queues
 	// (crashed cores cannot DMA their announcing CQEs) and re-kick the
 	// reconciler in case an episode was abandoned mid-storm.
-	var watchdog func()
-	watchdog = func() {
+	cl.RunWatched(warmup, 20*flexdriver.Microsecond, deadline, func() {
 		srv.RT.Recover()
-		for _, name := range tenants {
-			for _, rt := range tm.Runtimes(name) {
-				rt.Recover()
-			}
-		}
-		tm.Reconciler().Kick()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	cl.Run()
-	srv.RT.Recover()
-	for _, name := range tenants {
-		for _, rt := range tm.Runtimes(name) {
-			rt.Recover()
-		}
-	}
-	tm.Reconciler().Kick()
-	cl.Run()
+		tm.Recover()
+	})
 
 	phase1 := (reconfigAt - warmup).Seconds()
 	phase2 := (stopSend - reconfigAt - settle).Seconds()

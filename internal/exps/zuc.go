@@ -6,6 +6,7 @@ import (
 	"flexdriver"
 	"flexdriver/internal/accel/zuc"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 )
 
@@ -177,7 +178,7 @@ func zucLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99
 	var lat stats.Sample
 	var bytes int64
 	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := newRand(3)
+	rng := sim.NewRand(3)
 	sent := 0
 	t0 := rp.Engine().Now()
 	var tick func()

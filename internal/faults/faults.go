@@ -715,6 +715,21 @@ func formatDur(d sim.Duration) string {
 	return time.Duration(int64(d / sim.Nanosecond)).String()
 }
 
+// MaxCrashFor returns the longest configured downtime window across
+// every failure-domain class — the dominant term of any honest MTTR
+// bound: an episode detected the instant a component dies cannot close
+// before the component returns.
+func (c Config) MaxCrashFor() sim.Duration {
+	m := c.FLDResetFor
+	for _, d := range []sim.Duration{c.NICFLRFor, c.NodeCrashFor,
+		c.DrvCrashFor, c.SwRebootFor, c.PartFor, c.FlapFor} {
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // String serializes the config as a ParseSpec-compatible key=value spec:
 // ParseSpec(cfg.String()) reproduces cfg exactly (the round trip is
 // fuzzed). Zero-valued classes are omitted; the zero config renders as

@@ -198,6 +198,38 @@ func ParseUDP(b []byte) (UDP, []byte, error) {
 	return h, b[UDPHeaderLen:h.Length], nil
 }
 
+// UDPFrameOverhead is the header stack in front of a UDP payload:
+// Eth(14) + IPv4(20) + UDP(8).
+const UDPFrameOverhead = EthHeaderLen + IPv4HeaderLen + UDPHeaderLen
+
+// UDPFrame builds a complete Eth/IPv4/UDP frame carrying payload.
+func UDPFrame(srcMAC, dstMAC MAC, src, dst IP, sport, dport uint16, payload []byte) []byte {
+	b := make([]byte, 0, UDPFrameOverhead+len(payload))
+	b = Eth{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}.Marshal(b)
+	b = IPv4{TotalLen: uint16(IPv4HeaderLen + UDPHeaderLen + len(payload)), Proto: ProtoUDP,
+		Src: src, Dst: dst}.Marshal(b)
+	b = UDP{SrcPort: sport, DstPort: dport, Length: uint16(UDPHeaderLen + len(payload))}.Marshal(b)
+	return append(b, payload...)
+}
+
+// SwapEcho turns a UDP frame around in place — Ethernet addresses, IPv4
+// addresses, UDP ports — so an echo reply routes back to its sender.
+// Pure swaps keep the IPv4 header checksum valid. Frames too short to
+// carry the headers are left alone.
+func SwapEcho(f []byte) {
+	if len(f) < UDPFrameOverhead {
+		return
+	}
+	for i := 0; i < 6; i++ {
+		f[i], f[6+i] = f[6+i], f[i]
+	}
+	for i := 0; i < 4; i++ {
+		f[26+i], f[30+i] = f[30+i], f[26+i]
+	}
+	f[34], f[36] = f[36], f[34]
+	f[35], f[37] = f[37], f[35]
+}
+
 // TCP is a parsed TCP header (options ignored; the iperf-style experiments
 // model flows at segment granularity).
 type TCP struct {

@@ -328,3 +328,36 @@ func BenchmarkFragment1500At576(b *testing.B) {
 		FragmentIPv4(pkt, 576)
 	}
 }
+
+// TestUDPFrameParsesAndSwapEchoReverses: a built frame parses back into
+// the headers it was built from, and SwapEcho addresses the reply to the
+// sender with a still-valid IPv4 checksum.
+func TestUDPFrameParsesAndSwapEchoReverses(t *testing.T) {
+	payload := []byte("echo me")
+	f := UDPFrame(MACFrom(1), MACFrom(2), IPFrom(1), IPFrom(2), 4000, 7777, payload)
+	if len(f) != UDPFrameOverhead+len(payload) {
+		t.Fatalf("frame is %d bytes, want %d", len(f), UDPFrameOverhead+len(payload))
+	}
+	SwapEcho(f)
+	eth, l3, err := ParseEth(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, l4, err := ParseIPv4(l3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp, got, err := ParseUDP(l4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eth.Src != MACFrom(2) || eth.Dst != MACFrom(1) || ip.Src != IPFrom(2) || ip.Dst != IPFrom(1) ||
+		udp.SrcPort != 7777 || udp.DstPort != 4000 || !bytes.Equal(got, payload) {
+		t.Fatalf("swapped frame: eth %+v ip %v->%v udp %+v payload %q", eth, ip.Src, ip.Dst, udp, got)
+	}
+	short := []byte{1, 2, 3}
+	SwapEcho(short)
+	if !bytes.Equal(short, []byte{1, 2, 3}) {
+		t.Fatal("SwapEcho modified a frame too short to carry the headers")
+	}
+}

@@ -66,7 +66,8 @@ func (n *NIC) SetTelemetry(sc *telemetry.Scope) {
 
 // drop records a packet/doorbell drop in Stats and, when telemetry is
 // attached, in a per-reason counter. Drops are off the hot path, so the
-// lazy per-reason counter creation is acceptable.
+// lazy per-reason counter creation is acceptable; the registry's lock
+// makes it safe while other shards run in parallel.
 func (n *NIC) drop(reason DropReason) {
 	n.Stats.drop(reason)
 	if t := n.tlm; t != nil {

@@ -6,23 +6,9 @@ import (
 	"flexdriver"
 	"flexdriver/internal/faults"
 	"flexdriver/internal/nic"
-	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/swdriver"
 )
-
-// maxCrashFor is the longest configured crash-window duration across
-// every failure-domain class — the dominant term of the MTTR bound.
-func maxCrashFor(cfg faults.Config) sim.Duration {
-	m := cfg.FLDResetFor
-	for _, d := range []sim.Duration{cfg.NICFLRFor, cfg.NodeCrashFor,
-		cfg.DrvCrashFor, cfg.SwRebootFor, cfg.PartFor, cfg.FlapFor} {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
 
 // runState carries everything the invariant checks need to cross-examine
 // a finished run: the cluster's layers, the fault plan's tallies, and
@@ -54,16 +40,15 @@ type runState struct {
 type node struct {
 	name string
 	nic  *nic.NIC
-	fab  *pcie.Fabric
 }
 
 func (st *runState) nodes() []node {
 	var ns []node
 	for _, inn := range st.cl.Innovas {
-		ns = append(ns, node{inn.Name(), inn.NIC, inn.Fab})
+		ns = append(ns, node{inn.Name(), inn.NIC})
 	}
 	for _, h := range st.cl.Hosts {
-		ns = append(ns, node{h.Name(), h.NIC, h.Fab})
+		ns = append(ns, node{h.Name(), h.NIC})
 	}
 	return ns
 }
@@ -140,17 +125,7 @@ func checkInvariants(res *Result, st *runState) {
 	// Byte-exact PCIe reconciliation on every node: the telemetry tree's
 	// per-device byte counters must equal each fabric port's independent
 	// accounting, faults or not.
-	mismatches := 0
-	for _, nd := range nodes {
-		for _, p := range nd.fab.Ports() {
-			dev := p.Device().PCIeName()
-			if snap.Get(nd.name+"/pcie/"+dev+"/up/bytes") != p.UpBytes ||
-				snap.Get(nd.name+"/pcie/"+dev+"/down/bytes") != p.DownBytes {
-				mismatches++
-			}
-		}
-	}
-	if mismatches > 0 {
+	if mismatches := st.cl.PCIeMismatches(snap); mismatches > 0 {
 		bad("pcie-reconcile", "%d PCIe ports with telemetry/port byte mismatches", mismatches)
 	}
 
@@ -250,7 +225,7 @@ func checkInvariants(res *Result, st *runState) {
 		if st.plan == nil || snap.Get(base+"episodes") == 0 {
 			continue
 		}
-		bound := int64(3*maxCrashFor(st.plan.Cfg) + 100*sim.Microsecond)
+		bound := int64(3*st.plan.Cfg.MaxCrashFor() + 100*sim.Microsecond)
 		if hi := snap.Gauges[base+"mttr_max"].High; hi > bound {
 			bad("mttr-bounded", "%s: worst MTTR %dns exceeds bound %dns",
 				h.Name(), hi/1000, bound/1000)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
@@ -22,10 +23,10 @@ const (
 	drain  = 60 * sim.Microsecond
 	// seqOff is where the 8-byte send ordinal lives in a delivered echo
 	// frame: Eth(14) + IPv4(20) + UDP(8).
-	seqOff = 42
+	seqOff = netpkt.UDPFrameOverhead
 	// vxlanOuter is the encapsulation overhead in front of the inner
 	// frame: outer Eth(14) + IPv4(20) + UDP(8) + VXLAN(8).
-	vxlanOuter = 50
+	vxlanOuter = netpkt.UDPFrameOverhead + netpkt.VXLANHeaderLen
 	// flowsPerClient is each client's flow-set size (sport/size variety
 	// for RSS spread).
 	flowsPerClient = 6
@@ -111,19 +112,6 @@ type tenantRun struct {
 // port returns the service port of client ci's tenant.
 func (t *tenantRun) port(ci int) uint16 { return t.ports[ci%len(t.ports)] }
 
-// recover sweeps every tenant runtime for silently-errored queues or an
-// unresynced crash and re-kicks the reconciler in case an episode was
-// abandoned mid-storm. Tenant order (not map order) keeps the sweep
-// deterministic.
-func (t *tenantRun) recover() {
-	for _, name := range t.names {
-		for _, rt := range t.tm.Runtimes(name) {
-			rt.Recover()
-		}
-	}
-	t.tm.Reconciler().Kick()
-}
-
 // tenancyDesired builds the version-v desired state: one single-core VF
 // slice per tenant, quotas sized to the runtime's fixed footprint (2
 // CQs + the RQ) plus the one echo tx queue. Version 1 alternates DRR
@@ -145,141 +133,53 @@ func tenancyDesired(s Spec, version int) flexdriver.TenancySpec {
 
 // setupTenants puts the server under control-plane management and
 // applies the version-1 spec. Wire ingress is steered per tenant by
-// destination port into the tenant's own RQs; the provision hook
-// re-installs each runtime's echo path after every (re)build, and the
-// drain hook rebuilds steering so a draining tenant stops receiving new
-// frames (eSwitch-missed frames count as reasoned drops, and the cutoff
-// is what lets a drain complete under open-loop load).
+// destination port into the tenant's own RQs (see
+// TenantManager.SteerByPort); every tenant core runs the header-swapping
+// echo, and a draining tenant stops receiving new frames (eSwitch-missed
+// frames count as reasoned drops, and the cutoff is what lets a drain
+// complete under open-loop load).
 func setupTenants(cl *flexdriver.Cluster, srv *flexdriver.Innova, s Spec, echoSendFails *int64) *tenantRun {
 	t := &tenantRun{tm: cl.ManageTenants(srv, s.Seed)}
 	for i := 0; i < s.Tenants; i++ {
 		t.names = append(t.names, fmt.Sprintf("T%d", i))
 		t.ports = append(t.ports, tenantBasePort+uint16(i))
 	}
-	reSteer := func() {
-		esw := srv.NIC.ESwitch()
-		esw.ClearTable(0)
-		for i, name := range t.names {
-			if t.tm.Draining(name) {
-				continue
-			}
-			rts := t.tm.Runtimes(name)
-			if len(rts) == 0 {
-				continue
-			}
-			var rqs []*nic.RQ
-			for _, rt := range rts {
-				rqs = append(rqs, rt.RQ())
-			}
-			dp := t.ports[i]
-			esw.AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstPort: &dp},
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-		}
-	}
-	provisioned := make(map[*flexdriver.Runtime]bool)
 	var t0Echoed int64
-	t.tm.SetProvision(func(name string, _ flexdriver.TenantSpec, rts []*flexdriver.Runtime) {
-		for _, rt := range rts {
-			if provisioned[rt] {
-				continue // bandwidth-only re-slice: the data plane stands
-			}
-			provisioned[rt] = true
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
-			f := rt.FLD()
-			plantPort := uint16(0)
-			if s.PlantLeakNth > 0 && name == t.names[0] {
-				plantPort = t.ports[1]
-			}
-			f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-				out := append([]byte(nil), data...)
-				swapEcho(out)
-				if plantPort != 0 {
-					if t0Echoed++; t0Echoed%s.PlantLeakNth == 0 {
-						// The planted defect: tenant 0's pipeline claims
-						// tenant 1's identity on the wire — the isolation
-						// violation the tenant-leak invariant must catch.
-						out[34], out[35] = byte(plantPort>>8), byte(plantPort)
-					}
+	t.tm.SteerByPort(t.names, t.ports, func(name string, rt *flexdriver.Runtime) {
+		var tamper func(out []byte)
+		if s.PlantLeakNth > 0 && name == t.names[0] {
+			tamper = func(out []byte) {
+				if t0Echoed++; t0Echoed%s.PlantLeakNth == 0 {
+					// The planted defect: tenant 0's pipeline claims
+					// tenant 1's identity on the wire — the isolation
+					// violation the tenant-leak invariant must catch.
+					binary.BigEndian.PutUint16(out[34:], t.ports[1])
 				}
-				if err := f.Send(0, out, md); err != nil {
-					*echoSendFails++
-				}
-			}))
+			}
 		}
-		reSteer()
+		installEcho(rt.FLD(), echoSendFails, tamper)
 	})
-	t.tm.SetOnDrainChange(func(string) { reSteer() })
 	if err := cl.Apply(tenancyDesired(s, 1)); err != nil {
 		panic(err)
 	}
 	return t
 }
 
-// udpFrame builds a UDP frame between two concrete NICs, sized to size
-// bytes on the wire (before any encapsulation).
-func udpFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
-// vxlanWrap encapsulates inner in an outer Eth+IPv4+UDP(4789)+VXLAN
-// envelope between the same pair of NICs, the frame shape the server's
-// decap rule strips back to inner.
-func vxlanWrap(src, dst *flexdriver.NIC, osport uint16, inner []byte) []byte {
-	vx := append(netpkt.VXLAN{VNI: 42}.Marshal(nil), inner...)
-	udp := netpkt.UDP{SrcPort: osport, DstPort: netpkt.VXLANPort,
-		Length: uint16(netpkt.UDPHeaderLen + len(vx))}
-	l4 := append(udp.Marshal(nil), vx...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
-// swapEcho reverses a UDP frame in place — Ethernet addresses, IPv4
-// addresses, UDP ports — so the reply routes back through the switch to
-// the sender (pure swaps keep the IPv4 checksum valid).
-func swapEcho(f []byte) {
-	if len(f) < netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.UDPHeaderLen {
-		return
-	}
-	for i := 0; i < 6; i++ {
-		f[i], f[6+i] = f[6+i], f[i]
-	}
-	for i := 0; i < 4; i++ {
-		f[26+i], f[30+i] = f[30+i], f[26+i]
-	}
-	f[34], f[36] = f[36], f[34]
-	f[35], f[37] = f[37], f[35]
-}
-
-// stamp writes an 8-byte big-endian ordinal at off.
-func stamp(f []byte, off int, seq int64) {
-	for i := 7; i >= 0; i-- {
-		f[off+i] = byte(seq)
-		seq >>= 8
-	}
-}
-
-// unstamp reads the ordinal stamp back.
-func unstamp(f []byte, off int) int64 {
-	var seq int64
-	for i := 0; i < 8; i++ {
-		seq = seq<<8 | int64(f[off+i])
-	}
-	return seq
+// installEcho makes f a header-swapping echo server. Sends the FLD
+// refuses (credit stalls under fault storms) are counted into fails, so
+// open-loop loss stays accounted for; tamper, when set, may rewrite each
+// reply before it is sent.
+func installEcho(f *flexdriver.FLD, fails *int64, tamper func(out []byte)) {
+	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
+		out := append([]byte(nil), data...)
+		netpkt.SwapEcho(out)
+		if tamper != nil {
+			tamper(out)
+		}
+		if err := f.Send(0, out, md); err != nil {
+			*fails++
+		}
+	}))
 }
 
 // rdmaPattern builds (and rdmaVerify checks) a sidecar message: the send
@@ -287,7 +187,7 @@ func unstamp(f []byte, off int) int64 {
 // delivered message proves byte-exact end-to-end transport.
 func rdmaPattern(seq int64, n int) []byte {
 	msg := make([]byte, n)
-	stamp(msg, 0, seq)
+	binary.BigEndian.PutUint64(msg, uint64(seq))
 	for i := 8; i < n; i++ {
 		msg[i] = byte(int64(i)*7 + seq)
 	}
@@ -298,7 +198,7 @@ func rdmaVerify(msg []byte) (seq int64, ok bool) {
 	if len(msg) < 8 {
 		return 0, false
 	}
-	seq = unstamp(msg, 0)
+	seq = int64(binary.BigEndian.Uint64(msg))
 	for i := 8; i < len(msg); i++ {
 		if msg[i] != byte(int64(i)*7+seq) {
 			return seq, false
@@ -331,12 +231,7 @@ func rpcReqFrame(src, dst *flexdriver.NIC, sport, dport uint16, size, fi int) []
 	if fi%2 == 1 {
 		op, keyFlow = rpc.OpGet, fi-1
 	}
-	key := make([]byte, 8)
-	k := uint64(sport)<<16 | uint64(keyFlow)
-	for i := 7; i >= 0; i-- {
-		key[i] = byte(k)
-		k >>= 8
-	}
+	key := binary.BigEndian.AppendUint64(nil, uint64(sport)<<16|uint64(keyFlow))
 	val := make([]byte, size-tcp.FrameOverhead-rpc.HeaderLen-len(key))
 	for i := range val {
 		val[i] = byte(i*3 + fi)
@@ -410,41 +305,25 @@ func Run(s Spec) *Result {
 	if s.Tenants > 0 {
 		tn = setupTenants(cl, srv, s, &echoSendFails)
 	} else {
-		for i := 1; i < s.FLDCores; i++ {
-			_, rt := srv.AddFLD(srv.FLD.Config())
-			rts = append(rts, rt)
-		}
-		var rqs []*nic.RQ
-		for _, rt := range rts {
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
+		rts = srv.ServeFLDs(s.FLDCores, func(rt *flexdriver.Runtime) {
 			f := rt.FLD()
 			if s.Proto == "rpc" {
 				// The serving path: each core answers GET/PUT from its
 				// private store; its send failures and parse rejections
 				// join the loss budget like echo send failures do.
 				kvs = append(kvs, kv.New(f))
-			} else {
-				f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-					out := append([]byte(nil), data...)
-					swapEcho(out)
-					if err := f.Send(0, out, md); err != nil {
-						echoSendFails++
-					}
-				}))
+				return
 			}
-			rqs = append(rqs, rt.RQ())
-		}
+			installEcho(f, &echoSendFails, nil)
+		})
 		if s.Path == "vxlan" {
 			vxport := uint16(netpkt.VXLANPort)
 			srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
 				Match:  flexdriver.Match{DstPort: &vxport},
-				Action: flexdriver.Action{Decap: true, ToTIR: &nic.TIR{RQs: rqs}}})
+				Action: flexdriver.Action{Decap: true, ToTIR: flexdriver.RSS(rts)}})
 		} else {
 			srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
+				Action: flexdriver.Action{ToTIR: flexdriver.RSS(rts)}})
 		}
 	}
 
@@ -499,7 +378,7 @@ func Run(s Spec) *Result {
 				// the bookkeeping — a drop with no drop reason anywhere.
 				return
 			}
-			seq := unstamp(fr, recvOff)
+			seq := int64(binary.BigEndian.Uint64(fr[recvOff:]))
 			if seq < 0 || seq >= c.sent {
 				c.ghosts++
 				return
@@ -527,9 +406,13 @@ func Run(s Spec) *Result {
 			case "rpc":
 				f = rpcReqFrame(h.NIC, srv.NIC, sport, dport, size, fi)
 			default:
-				f = udpFrame(h.NIC, srv.NIC, sport, dport, size)
+				f = netpkt.UDPFrame(h.NIC.MAC, srv.NIC.MAC, h.NIC.IP, srv.NIC.IP, sport, dport,
+					make([]byte, size-netpkt.UDPFrameOverhead))
 				if s.Path == "vxlan" {
-					f = vxlanWrap(h.NIC, srv.NIC, sport, f)
+					// The outer envelope between the same NICs: the shape
+					// the server's decap rule strips back to the inner frame.
+					f = netpkt.UDPFrame(h.NIC.MAC, srv.NIC.MAC, h.NIC.IP, srv.NIC.IP, sport, netpkt.VXLANPort,
+						append(netpkt.VXLAN{VNI: 42}.Marshal(nil), f...))
 				}
 			}
 			flows = append(flows, f)
@@ -571,7 +454,7 @@ func Run(s Spec) *Result {
 					return set
 				},
 				OnSend: func(_ int, f []byte) {
-					stamp(f, stampOff, c.sent)
+					binary.BigEndian.PutUint64(f[stampOff:], uint64(c.sent))
 					c.sent++
 				},
 			})
@@ -581,12 +464,7 @@ func Run(s Spec) *Result {
 		}
 	}
 	for ci := 0; s.AggClients == 0 && ci < s.Clients; ci++ {
-		h := cl.AddHost(fmt.Sprintf("client%d", ci))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
+		h, port := cl.AddClient(fmt.Sprintf("client%d", ci))
 		c := &client{host: h, port: port, recv: make(map[int64]int64)}
 		// In tenant mode each client belongs to one tenant (round-robin)
 		// and addresses it by destination port; every reply's source port
@@ -698,13 +576,7 @@ func Run(s Spec) *Result {
 	// The FDB is programmed statically (every MAC pinned to its port) so
 	// no frame ever floods to a foreign NIC: per-sequence conservation
 	// then has no benign flood copies to excuse.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	for _, inn := range cl.Innovas {
-		sw.Program(inn.NIC.MAC, cl.PortOf(inn.NIC))
-	}
+	cl.PinFDB()
 
 	// Spec v2 (flipped DRR weights) lands mid-window as a cluster-wide
 	// barrier action, so the reconciler drains and reshapes every tenant
@@ -747,7 +619,7 @@ func Run(s Spec) *Result {
 			}
 			for b := 0; b < burst; b++ {
 				f := append([]byte(nil), c.frames[int(c.sent)%len(c.frames)]...)
-				stamp(f, stampOff, c.sent)
+				binary.BigEndian.PutUint64(f[stampOff:], uint64(c.sent))
 				c.sent++
 				c.port.Send(f)
 			}
@@ -789,8 +661,7 @@ func Run(s Spec) *Result {
 	// pair stuck in Error is reconnected (modify-QP cycle). It sweeps
 	// every node, so it runs as a cluster control: all shards quiesced
 	// and advanced to the tick before it touches their queues.
-	deadline := stop + drain
-	recoverAll := func() {
+	cl.RunWatched(warmup, 20*sim.Microsecond, stop+drain, func() {
 		for _, sup := range sups {
 			sup.Kick()
 		}
@@ -801,7 +672,7 @@ func Run(s Spec) *Result {
 			rt.Recover()
 		}
 		if tn != nil {
-			tn.recover()
+			tn.tm.Recover()
 		}
 		if epA != nil {
 			epA.Poll()
@@ -817,23 +688,7 @@ func Run(s Spec) *Result {
 				swdriver.ReconnectTCPEndpoints(tepA, tepB)
 			}
 		}
-	}
-	var watchdog func()
-	watchdog = func() {
-		recoverAll()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*sim.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	// Quiesce: drain in-flight work, give recovery one final pass in
-	// case an error surfaced after the watchdog's last tick, and drain
-	// whatever that pass scheduled.
-	cl.Run()
-	recoverAll()
-	cl.Run()
+	})
 
 	// --- gather ---------------------------------------------------------
 	for _, c := range clients {
@@ -850,7 +705,7 @@ func Run(s Spec) *Result {
 	if plan != nil {
 		res.Injected = plan.Injected
 	}
-	for _, p := range sw.Ports() {
+	for _, p := range cl.Switch().Ports() {
 		res.TailDrops += p.Counters.TailDrops
 	}
 	res.RDMASent, res.RDMADelivered = rdmaSent, rdmaDelivered
@@ -883,7 +738,7 @@ func Run(s Spec) *Result {
 		clients: clients, sups: sups, epA: epA, epB: epB,
 		rdmaBad: rdmaBad, rdmaGhosts: rdmaGhosts,
 		echoSendFails: echoSendFails,
-		tepA: tepA, tepB: tepB,
+		tepA:          tepA, tepB: tepB,
 		tcpBad: tcpBad, tcpGhosts: tcpGhosts,
 		kvDrops: kvDrops, kvMalformed: kvMalformed,
 	})

@@ -78,3 +78,18 @@ func (r *Rand) Pareto(min, max Duration, alpha float64) Duration {
 	}
 	return Time(x)
 }
+
+// Backoff returns the jittered exponential retry delay for the given
+// attempt (1 = first retry): base·2^(attempt-1) capped at max, scaled by
+// a uniform ±25% jitter. It draws exactly one Float64 per call, so a
+// retry loop's stream position depends only on how often it retried.
+func (r *Rand) Backoff(attempt int, base, max Duration) Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return Duration(float64(d) * (0.75 + 0.5*r.Float64()))
+}

@@ -278,3 +278,19 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	}
 	e.Run()
 }
+
+// TestBackoffLadder: the delay doubles per attempt up to the cap, stays
+// within ±25% jitter, and consumes exactly one Float64 per call.
+func TestBackoffLadder(t *testing.T) {
+	const base, max = 500 * Nanosecond, 4 * Microsecond
+	r, ref := NewRand(9), NewRand(9)
+	for attempt, want := range []Duration{base, base, 2 * base, 4 * base, max, max, max} {
+		got := r.Backoff(attempt, base, max)
+		if got < want*3/4 || got > want*5/4 {
+			t.Fatalf("attempt %d: %v outside ±25%% of %v", attempt, got, want)
+		}
+		if exact := Duration(float64(want) * (0.75 + 0.5*ref.Float64())); got != exact {
+			t.Fatalf("attempt %d: %v, want %v from one Float64 draw", attempt, got, exact)
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"flexdriver/internal/sim"
@@ -177,11 +178,14 @@ func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
 // usable; create one with New. A nil *Registry is a valid "telemetry
 // disabled" registry: every method returns nil handles or zero values.
 type Registry struct {
+	// mu guards the metric maps: shards running in parallel may create
+	// a metric lazily (a NIC's first drop of a given reason) while
+	// another shard looks one up.
+	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
-	order    []string // insertion order, for deterministic dumps
 
 	clock func() sim.Time
 	rec   *Recorder
@@ -229,21 +233,18 @@ func (r *Registry) Recorder() *Recorder {
 	return r.rec
 }
 
-func (r *Registry) note(path string) {
-	r.order = append(r.order, path)
-}
-
 // Counter returns (creating if needed) the counter at path. Returns nil
 // on a nil registry.
 func (r *Registry) Counter(path string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.counters[path]
 	if !ok {
 		c = &Counter{}
 		r.counters[path] = c
-		r.note(path)
 	}
 	return c
 }
@@ -253,11 +254,12 @@ func (r *Registry) Gauge(path string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g, ok := r.gauges[path]
 	if !ok {
 		g = &Gauge{}
 		r.gauges[path] = g
-		r.note(path)
 	}
 	return g
 }
@@ -267,11 +269,12 @@ func (r *Registry) Histogram(path string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h, ok := r.hists[path]
 	if !ok {
 		h = &Histogram{}
 		r.hists[path] = h
-		r.note(path)
 	}
 	return h
 }
@@ -283,9 +286,8 @@ func (r *Registry) Func(path string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	if _, ok := r.funcs[path]; !ok {
-		r.note(path)
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.funcs[path] = fn
 }
 
@@ -391,6 +393,8 @@ func (r *Registry) Snapshot() Snapshot {
 	if r.clock != nil {
 		s.At = r.clock()
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for p, c := range r.counters {
 		s.Counters[p] = c.Value()
 	}

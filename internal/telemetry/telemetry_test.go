@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"flexdriver/internal/sim"
@@ -195,5 +197,28 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f per event, want 0", allocs)
+	}
+}
+
+// TestConcurrentLazyCreation: parallel shards may create metrics lazily
+// (a NIC's first drop of a reason) while other shards look theirs up;
+// the registry must survive that and register every path exactly once.
+func TestConcurrentLazyCreation(t *testing.T) {
+	r := New()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := r.Scope(fmt.Sprintf("node%d", w))
+			for i := 0; i < 500; i++ {
+				sc.Counter(fmt.Sprintf("drops/r%d", i)).Inc()
+				_ = r.Counter("shared") // lookup only: counters are single-writer
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(r.Snapshot().Counters); n != 4*500+1 {
+		t.Fatalf("%d counters registered, want %d", n, 4*500+1)
 	}
 }

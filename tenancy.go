@@ -1,7 +1,7 @@
 package flexdriver
 
 import (
-	"fmt"
+	"sort"
 
 	"flexdriver/internal/ctrlplane"
 	"flexdriver/internal/fld"
@@ -126,6 +126,59 @@ func (tm *TenantManager) Cores(name string) []*FLD {
 		return a.cores
 	}
 	return nil
+}
+
+// SteerByPort wires the node's tenants as wire-facing serving slices:
+// tenant names[i] is reached on UDP destination port ports[i]. Each
+// tenant runtime is brought up once (BringUpWire, then install with the
+// tenant's name to set its accelerator handler; a bandwidth-only
+// re-slice keeps the standing data plane). Wire ingress is rebuilt from
+// the live, non-draining tenants — one DstPort rule per tenant into its
+// runtimes' RQs — after every provision and at every drain-state change,
+// so a draining tenant stops receiving new frames and its drain can
+// complete under open-loop load. Both hooks fire inside reconciler
+// events, on the node's own shard.
+func (tm *TenantManager) SteerByPort(names []string, ports []uint16, install func(tenant string, rt *Runtime)) {
+	esw := tm.inn.NIC.ESwitch()
+	reSteer := func() {
+		esw.ClearTable(0)
+		for i, name := range names {
+			if rts := tm.Runtimes(name); len(rts) > 0 && !tm.Draining(name) {
+				dp := ports[i]
+				esw.AddRule(0, Rule{Match: Match{DstPort: &dp}, Action: Action{ToTIR: RSS(rts)}})
+			}
+		}
+	}
+	up := make(map[*Runtime]bool)
+	tm.SetProvision(func(name string, _ TenantSpec, rts []*Runtime) {
+		for _, rt := range rts {
+			if !up[rt] {
+				up[rt] = true
+				BringUpWire(rt)
+				install(name, rt)
+			}
+		}
+		reSteer()
+	})
+	tm.SetOnDrainChange(func(string) { reSteer() })
+}
+
+// Recover sweeps every live tenant's runtimes, in tenant-name order, for
+// silently errored queues (a crashed core cannot DMA the CQE that would
+// announce them), then kicks the reconciler in case an episode was
+// abandoned mid-storm.
+func (tm *TenantManager) Recover() {
+	names := make([]string, 0, len(tm.tenants))
+	for name := range tm.tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, rt := range tm.Runtimes(name) {
+			rt.Recover()
+		}
+	}
+	tm.rec.Kick()
 }
 
 // --- ctrlplane.Actuator ---
@@ -277,28 +330,14 @@ func (tm *TenantManager) teardown(name string) {
 }
 
 // takeCore reuses a released core or instantiates a fresh one on the
-// node's FPGA — AddFLD's wiring minus the PF runtime, since tenant cores
-// get their runtimes through a VF.
+// node's FPGA.
 func (tm *TenantManager) takeCore() *fld.FLD {
 	if n := len(tm.free); n > 0 {
 		f := tm.free[0]
 		tm.free = tm.free[1:]
 		return f
 	}
-	inn := tm.inn
-	f := fld.New(inn.eng, inn.FLD.Config())
-	f.SetPCIeName(fmt.Sprintf("fld%d", inn.numFLDs))
-	f.AttachPCIe(inn.Fab, inn.link)
-	if inn.tel != nil {
-		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(fmt.Sprintf("fld%d", inn.numFLDs)))
-	}
-	inn.numFLDs++
-	inn.flds = append(inn.flds, f)
-	if inn.faults != nil {
-		inn.faults.AttachFLD(f)
-		inn.faults.AttachFLDReset(inn.eng, f)
-	}
-	return f
+	return tm.inn.newCore(tm.inn.FLD.Config())
 }
 
 // perVFRate splits a tenant's aggregate rate cap evenly across its VFs.

@@ -96,21 +96,6 @@ func WithTelemetry(reg *Registry) Option { return func(o *Options) { o.Telemetry
 // plan may serve several nodes; they share its seeded random stream.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithParallel toggles the parallel scheduler for Cluster runs. Off
-// forces the sequential reference schedule (one worker); on restores
-// the default of one worker per CPU. Results are byte-identical either
-// way — sequential mode exists as the determinism reference and for
-// single-core profiling.
-func WithParallel(on bool) Option {
-	return func(o *Options) {
-		if on {
-			o.Workers = 0
-		} else {
-			o.Workers = 1
-		}
-	}
-}
-
 // WithWorkers pins the scheduler's worker count for Cluster runs
 // (0 = one per CPU, 1 = sequential).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
@@ -119,10 +104,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // shared engine — the monolithic baseline for scheduler-overhead
 // measurement. See Options.Colocate for the determinism caveat.
 func WithColocated(on bool) Option { return func(o *Options) { o.Colocate = on } }
-
-// WithOptions replaces the whole carrier at once — an escape hatch for
-// callers that build an Options value programmatically.
-func WithOptions(full Options) Option { return func(o *Options) { *o = full } }
 
 // buildOptions folds functional options into a defaulted carrier.
 func buildOptions(opts []Option) Options {
@@ -394,13 +375,20 @@ func newInnova(eng *Engine, name string, o Options) *Innova {
 // multiple FLD 'cores' within the accelerator, combined with NIC RSS
 // offloads to balance the load on these cores".
 func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
+	f := inn.newCore(cfg)
+	return f, fldsw.NewRuntime(inn.eng, inn.Fab, inn.Mem, inn.NIC, f)
+}
+
+// newCore instantiates one more FLD core on the node's PCIe fabric,
+// without a runtime: AddFLD pairs it with the PF, tenant cores get theirs
+// through a VF.
+func (inn *Innova) newCore(cfg FLDConfig) *FLD {
 	f := fld.New(inn.eng, cfg)
 	// A distinct device name keeps the extra core's PCIe-link telemetry
 	// separate (matching its fld<N> scope) so per-port byte accounting
 	// still reconciles.
 	f.SetPCIeName(fmt.Sprintf("fld%d", inn.numFLDs))
 	f.AttachPCIe(inn.Fab, inn.link)
-	rt := fldsw.NewRuntime(inn.eng, inn.Fab, inn.Mem, inn.NIC, f)
 	if inn.tel != nil {
 		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(fmt.Sprintf("fld%d", inn.numFLDs)))
 	}
@@ -410,7 +398,46 @@ func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
 		inn.faults.AttachFLD(f)
 		inn.faults.AttachFLDReset(inn.eng, f)
 	}
-	return f, rt
+	return f
+}
+
+// ServeFLDs is the serving bring-up of a node whose cores face the wire:
+// it first grows the node to n cores (AddFLD with the primary core's
+// configuration), then brings each core up in order — BringUpWire, then
+// install with the core's runtime, where the caller sets its accelerator
+// handler. Queue IDs follow that order, so telemetry paths are stable.
+// It returns every runtime in core order; ingress steering stays with
+// the caller.
+func (inn *Innova) ServeFLDs(n int, install func(rt *Runtime)) []*Runtime {
+	rts := []*Runtime{inn.RT}
+	for len(rts) < n {
+		_, rt := inn.AddFLD(inn.FLD.Config())
+		rts = append(rts, rt)
+	}
+	for _, rt := range rts {
+		BringUpWire(rt)
+		install(rt)
+	}
+	return rts
+}
+
+// BringUpWire readies one runtime to serve the wire: an Ethernet transmit
+// queue, the FLD-E default egress rule to the wire, and the started
+// runtime (receive ring posted).
+func BringUpWire(rt *Runtime) {
+	rt.CreateEthTxQueue(0, nil)
+	NewEControlPlane(rt).InstallDefaultEgressToWire()
+	rt.Start()
+}
+
+// RSS returns a TIR spreading ingress over the runtimes' receive queues
+// by flow hash — the steering target of a multi-core server.
+func RSS(rts []*Runtime) *nic.TIR {
+	rqs := make([]*nic.RQ, len(rts))
+	for i, rt := range rts {
+		rqs[i] = rt.RQ()
+	}
+	return &nic.TIR{RQs: rqs}
 }
 
 // ConnectWire cables two NICs back to back.
