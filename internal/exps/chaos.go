@@ -182,7 +182,7 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 		cm+sm == 0, "telemetry vs Port.{Up,Down}Bytes, byte-exact")
 
 	// The plan's telemetry mirror must agree with its own tallies.
-	injTel := sumCounters(snap, "faults/injected/", "")
+	injTel := snap.Sum("faults/injected/", "")
 	r.Check("injection telemetry mirrors plan tallies", float64(inj.Total()), float64(injTel),
 		"faults", injTel == inj.Total(), "")
 

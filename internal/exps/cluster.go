@@ -180,13 +180,8 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 		// sources. Client gi keeps the arrival stream (Seed*1000+gi) it
 		// would own as a discrete host, and its own flow-tag set (base
 		// sport strided per client); stamps are host-level ordinals.
-		for hi, base := 0, 0; hi < nhosts; hi++ {
-			k := n / nhosts
-			if hi < n%nhosts {
-				k++
-			}
+		flexdriver.SplitClients(n, nhosts, func(hi, b, k int) {
 			c := &client{}
-			b := base
 			src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
 				Clients:    k,
 				StreamSeed: p.Seed*1000 + int64(b),
@@ -207,8 +202,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 			c.eng, c.port = src.Host.Engine(), src.Port
 			hookRecv(c)
 			clients = append(clients, c)
-			base += k
-		}
+		})
 	} else {
 		for ci := 0; ci < n; ci++ {
 			h, port := cl.AddClient(fmt.Sprintf("client%d", ci))

@@ -1,6 +1,8 @@
 package exps
 
 import (
+	"encoding/binary"
+
 	"flexdriver"
 	"flexdriver/internal/accel/defrag"
 	"flexdriver/internal/netpkt"
@@ -54,25 +56,19 @@ func newKernelCores(inn *flexdriver.Innova, n int, perPkt sim.Duration, swDefrag
 		}
 		k.rqs = append(k.rqs, rq)
 		k.pis = append(k.pis, entries)
-		var b [4]byte
-		putBE32(b[:], entries)
-		inn.Fab.Write(inn.Fab.PortOf(inn.NIC).Base()+nic.RQDoorbellOffset(rq.ID), b[:])
+		inn.Fab.Write(inn.Fab.PortOf(inn.NIC).Base()+nic.RQDoorbellOffset(rq.ID),
+			binary.BigEndian.AppendUint32(nil, entries))
 		tir.RQs = append(tir.RQs, rq)
 	}
 	return k, tir
-}
-
-func putBE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
 // onPacket charges the kernel path and counts delivered application bytes.
 func (k *kernelCores) onPacket(core int, c nic.CQE) {
 	// Recycle the buffer immediately (in-order ring).
 	k.pis[core]++
-	var b [4]byte
-	putBE32(b[:], k.pis[core])
-	k.nodes.Fab.Write(k.nodes.Fab.PortOf(k.nodes.NIC).Base()+nic.RQDoorbellOffset(k.rqs[core].ID), b[:])
+	k.nodes.Fab.Write(k.nodes.Fab.PortOf(k.nodes.NIC).Base()+nic.RQDoorbellOffset(k.rqs[core].ID),
+		binary.BigEndian.AppendUint32(nil, k.pis[core]))
 
 	base := k.nodes.Fab.PortOf(k.nodes.Mem).Base()
 	frame := k.nodes.Mem.ReadAt(c.Addr-base, int(c.ByteCount))
@@ -238,18 +234,11 @@ func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) f
 	}
 	interval := flexdriver.Duration(float64(wireBytes*8) / float64(len(frames)) / 26.5e9 * float64(flexdriver.Second))
 	idx := 0
-	warmup := 200 * flexdriver.Microsecond
-	deadline := warmup + window + 200*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() {
+	paceSends(rp.Engine(), interval, openEnded, func() {
 		port.Send(frames[idx%len(frames)])
 		idx++
 	})
-	rp.RunUntil(warmup)
-	start := cores.AppBytes
-	rp.RunUntil(warmup + window)
-	delivered := cores.AppBytes - start
-	rp.RunUntil(deadline)
-	return float64(delivered) * 8 / window.Seconds() / 1e9
+	return toGbps(measureWindow(rp, 200*flexdriver.Microsecond, window, func() int64 { return cores.AppBytes })[0], window)
 }
 
 func intp(v int) *int    { return &v }

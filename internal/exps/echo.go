@@ -2,6 +2,7 @@ package exps
 
 import (
 	"fmt"
+	"math"
 
 	"flexdriver"
 	"flexdriver/internal/accel/echo"
@@ -76,26 +77,25 @@ func serverCPUParams() flexdriver.DriverParams {
 }
 
 // fldeRemoteBed wires the remote FLD-E echo topology and returns the
-// client port plus the server's AFU. Extra options (e.g. WithTelemetry)
-// are applied on top of the load-generator driver model.
-func fldeRemoteBed(extra ...flexdriver.Option) (*flexdriver.RemotePair, *swdriver.EthPort, *echo.AFU) {
+// client port. Extra options (e.g. WithTelemetry) are applied on top of
+// the load-generator driver model.
+func fldeRemoteBed(extra ...flexdriver.Option) (*flexdriver.RemotePair, *swdriver.EthPort) {
 	opts := append([]flexdriver.Option{flexdriver.WithDriver(genDriverParams())}, extra...)
 	rp := flexdriver.NewRemotePair(opts...)
 	srv := rp.Server
-	var afu *echo.AFU
-	srv.ServeFLDs(1, func(rt *flexdriver.Runtime) { afu = echo.New(rt.FLD()) })
+	srv.ServeFLDs(1, func(rt *flexdriver.Runtime) { echo.New(rt.FLD()) })
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	rp.Client.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})
-	return rp, port, afu
+	return rp, port
 }
 
 // fldeLocalBed wires the single-node (hairpin) FLD-E topology.
-func fldeLocalBed(drv flexdriver.DriverParams) (*flexdriver.Innova, *swdriver.EthPort, *echo.AFU) {
+func fldeLocalBed(drv flexdriver.DriverParams) (*flexdriver.Innova, *swdriver.EthPort) {
 	inn := flexdriver.NewLocalInnova(flexdriver.WithDriver(drv))
 	inn.RT.CreateEthTxQueue(0, nil)
-	afu := echo.New(inn.FLD)
+	echo.New(inn.FLD)
 	port := inn.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	esw := inn.NIC.ESwitch()
 	fldVP, hostVP := inn.RT.VPort(), port.VPort()
@@ -105,7 +105,7 @@ func fldeLocalBed(drv flexdriver.DriverParams) (*flexdriver.Innova, *swdriver.Et
 	esw.AddRule(fldVP.EgressTable, flexdriver.Rule{Action: flexdriver.Action{ToVPort: &hostVP.ID}})
 	esw.AddRule(hostVP.IngressTable, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})
 	inn.RT.Start()
-	return inn, port, afu
+	return inn, port
 }
 
 // cpuRemoteBed wires a remote echo served by the *CPU* driver on the
@@ -137,33 +137,61 @@ func paceSends(eng *flexdriver.Engine, interval, deadline flexdriver.Duration, s
 	eng.After(0, tick)
 }
 
-// measureEcho runs an offered-rate stream of size-byte frames through an
-// echo path and returns the achieved receive goodput in Gbit/s.
-type echoBedFns struct {
-	eng       *flexdriver.Engine
-	send      func(frame []byte)
-	onReceive func(fn func(n int))
+// openEnded is the pacing deadline of a sender whose run measureWindow
+// ends: the run stops at the window's close, so the sender needs no stop
+// of its own.
+const openEnded = flexdriver.Time(math.MaxInt64)
+
+// runUntiler is what a single-pair measurement drives: a bare engine or
+// a testbed node.
+type runUntiler interface{ RunUntil(flexdriver.Time) }
+
+// measureWindow is the measurement every single-pair bandwidth
+// experiment shares: run to warmup, read each cumulative counter, run
+// through warmup+window, and return how far each counter moved inside
+// the window. It does not drain past the window; a caller that reads
+// state afterwards runs on itself.
+func measureWindow(r runUntiler, warmup, window flexdriver.Duration, counters ...func() int64) []int64 {
+	r.RunUntil(warmup)
+	moved := make([]int64, len(counters))
+	for i, c := range counters {
+		moved[i] = c()
+	}
+	r.RunUntil(warmup + window)
+	for i, c := range counters {
+		moved[i] = c() - moved[i]
+	}
+	return moved
 }
 
-func measureEcho(b echoBedFns, size int, offeredGbps float64, warmup, window flexdriver.Duration) float64 {
+// toGbps converts bytes moved over d to Gbit/s.
+func toGbps(bytes int64, d flexdriver.Duration) float64 {
+	return float64(bytes) * 8 / d.Seconds() / 1e9
+}
+
+// sendInterval is the gap between size-byte sends offered at gbps.
+func sendInterval(size int, gbps float64) flexdriver.Duration {
+	return flexdriver.Duration(float64(size*8) / (gbps * 1e9) * float64(flexdriver.Second))
+}
+
+// echoWarmup and echoTail bracket every measureEcho window: the path
+// warms up before it, and the generator keeps pacing for echoTail after
+// it so a caller that drains (TelemetryWithRegistry) sees steady load.
+const (
+	echoWarmup = 150 * flexdriver.Microsecond
+	echoTail   = 100 * flexdriver.Microsecond
+)
+
+// measureEcho runs an offered-rate stream of size-byte frames out of
+// port on eng and returns the echoed goodput it receives in the window,
+// in Gbit/s.
+func measureEcho(eng *flexdriver.Engine, port *swdriver.EthPort, size int, offeredGbps float64, window flexdriver.Duration) float64 {
 	frame := netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
 		4000, 7777, make([]byte, size-netpkt.UDPFrameOverhead))
-	interval := flexdriver.Duration(float64(len(frame)*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	var rxBytes int64
-	measuring := false
-	b.onReceive(func(n int) {
-		if measuring {
-			rxBytes += int64(n)
-		}
-	})
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(b.eng, interval, deadline, func() { b.send(frame) })
-	b.eng.RunUntil(warmup)
-	measuring = true
-	b.eng.RunUntil(warmup + window)
-	measuring = false
-	b.eng.RunUntil(deadline)
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) { rxBytes += int64(len(fr)) }
+	paceSends(eng, sendInterval(len(frame), offeredGbps), echoWarmup+window+echoTail, func() { port.Send(frame) })
+	return toGbps(measureWindow(eng, echoWarmup, window, func() int64 { return rxBytes })[0], window)
 }
 
 // BWPoint is one Figure 7b sample.
@@ -250,34 +278,16 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 		var achieved float64
 		switch mode {
 		case FLDERemote:
-			rp, port, _ := fldeRemoteBed()
-			achieved = measureEcho(echoBedFns{
-				eng:  rp.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			rp, port := fldeRemoteBed()
+			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		case FLDELocal:
-			inn, port, _ := fldeLocalBed(genDriverParams())
-			achieved = measureEcho(echoBedFns{
-				eng:  inn.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			inn, port := fldeLocalBed(genDriverParams())
+			achieved = measureEcho(inn.Engine(), port, size, offered, window)
 		case FLDRRemote:
 			achieved = fldrRemoteBandwidth(size, offered, window, nicPrm)
 		case CPURemote:
 			rp, port := cpuRemoteBed(ioFwdParams())
-			achieved = measureEcho(echoBedFns{
-				eng:  rp.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		}
 		model := echoModelFor(mode, size)
 		// "Meets" = within 10% of the analytic expectation, the same
@@ -293,48 +303,74 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 // fldrRemoteBandwidth runs the FLD-R echo at one message size.
 func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Duration, nicPrm flexdriver.NICParams) float64 {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()), flexdriver.WithNIC(nicPrm))
-	rsrv := flexdriver.NewRServer(rp.Server.RT)
-	rsrv.Listen("echo")
-	rp.Server.RT.Start()
-	installFLDREcho(rp.Server.FLD, rsrv)
+	ep := fldrEcho(rp.Client.Drv, rp.Server, flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
+	var rxBytes int64
+	ep.OnMessage = func(data []byte) { rxBytes += int64(len(data)) }
+	msg := make([]byte, size)
+	paceSends(rp.Engine(), sendInterval(size, offeredGbps), openEnded, func() { ep.Send(msg) })
+	return toGbps(measureWindow(rp, 150*flexdriver.Microsecond, window, func() int64 { return rxBytes })[0], window)
+}
 
-	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
+// connectFLDR is the FLD-R bring-up every RDMA experiment shares: an
+// RServer listening on service over srv's runtime, the runtime started,
+// install handed the server to put the AFU behind it, then a client
+// endpoint dialled from drv.
+func connectFLDR(drv *flexdriver.Driver, srv *flexdriver.Innova, service string, cfg flexdriver.RDMAConfig,
+	install func(*flexdriver.RServer)) *flexdriver.RDMAEndpoint {
+	rsrv := flexdriver.NewRServer(srv.RT)
+	rsrv.Listen(service)
+	srv.RT.Start()
+	install(rsrv)
+	ep, err := flexdriver.ConnectRDMA(drv, rsrv, service, cfg)
 	if err != nil {
 		panic(err)
 	}
-	var rxBytes int64
-	measuring := false
-	ep.OnMessage = func(data []byte) {
-		if measuring {
-			rxBytes += int64(len(data))
-		}
-	}
-	msg := make([]byte, size)
-	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() { ep.Send(msg) })
-	rp.RunUntil(warmup)
-	measuring = true
-	rp.RunUntil(warmup + window)
-	measuring = false
-	rp.RunUntil(deadline)
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	return ep
 }
 
-// installFLDREcho installs a per-QP reassembling echo handler.
-func installFLDREcho(f *flexdriver.FLD, rsrv *flexdriver.RServer) {
-	reasm := map[uint32][]byte{}
-	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-		buf := append(reasm[md.Tag], data...)
-		if !md.Last {
-			reasm[md.Tag] = buf
+// fldrEcho connects drv to an FLD-R echo on srv: a per-QP reassembling
+// handler that returns each whole message on its QP.
+func fldrEcho(drv *flexdriver.Driver, srv *flexdriver.Innova, cfg flexdriver.RDMAConfig) *flexdriver.RDMAEndpoint {
+	return connectFLDR(drv, srv, "echo", cfg, func(rsrv *flexdriver.RServer) {
+		reasm := map[uint32][]byte{}
+		srv.FLD.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
+			buf := append(reasm[md.Tag], data...)
+			if !md.Last {
+				reasm[md.Tag] = buf
+				return
+			}
+			delete(reasm, md.Tag)
+			srv.FLD.Send(rsrv.QueueFor(md.Tag), buf, flexdriver.Metadata{})
+		}))
+	})
+}
+
+// poissonLoad is the open-loop latency-at-load driver: it issues samples
+// size-byte requests with exponential gaps averaging the offered rate,
+// drawn from seed, calling send with each request's 1-based ordinal,
+// then runs the pair to quiescence and returns the run's duration
+// (at least 1).
+func poissonLoad(rp *flexdriver.RemotePair, seed int64, size int, offeredGbps float64, samples int, send func(n int)) flexdriver.Duration {
+	mean := sendInterval(size, offeredGbps)
+	rng := sim.NewRand(seed)
+	sent := 0
+	var tick func()
+	tick = func() {
+		if sent >= samples {
 			return
 		}
-		delete(reasm, md.Tag)
-		f.Send(rsrv.QueueFor(md.Tag), buf, flexdriver.Metadata{})
-	}))
+		sent++
+		send(sent)
+		rp.Engine().After(rng.Exp(mean), tick)
+	}
+	t0 := rp.Engine().Now()
+	tick()
+	rp.Run()
+	dur := rp.Engine().Now() - t0
+	if dur <= 0 {
+		dur = 1
+	}
+	return dur
 }
 
 // Fig7b runs the full Figure 7b reproduction.
@@ -381,54 +417,29 @@ func MixedTrace(window flexdriver.Duration) *Result {
 	r.Columns = []string{"engine", "Mpps", "Gbps"}
 	dist := trace.IMC2010()
 
-	run := func(useFLD bool) (mpps, gbps float64) {
-		var eng *flexdriver.Engine
-		var send func([]byte)
-		var hook func(func(int))
-		if useFLD {
-			rp, port, _ := fldeRemoteBed()
-			eng = rp.Engine()
-			send = func(f []byte) { port.Send(f) }
-			hook = func(fn func(int)) {
-				port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-			}
-		} else {
-			rp, port := cpuRemoteBed(fwdCoreParams())
-			eng = rp.Engine()
-			send = func(f []byte) { port.Send(f) }
-			hook = func(fn func(int)) {
-				port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-			}
-		}
+	run := func(eng *flexdriver.Engine, port *swdriver.EthPort) (mpps, gbps float64) {
 		// Offer slightly above line rate of mixed traffic.
 		rng := sim.NewRand(77)
 		var rxPkts, rxBytes int64
-		measuring := false
-		hook(func(n int) {
-			if measuring {
-				rxPkts++
-				rxBytes += int64(n)
-			}
-		})
+		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
+			rxPkts++
+			rxBytes += int64(len(fr))
+		}
 		mean := dist.Mean()
 		interval := flexdriver.Duration(mean * 8 / 26.5e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(eng, interval, deadline, func() {
-			send(netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
+		paceSends(eng, interval, openEnded, func() {
+			port.Send(netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
 				4000, 7777, make([]byte, dist.Sample(rng)-netpkt.UDPFrameOverhead)))
 		})
-		eng.RunUntil(warmup)
-		measuring = true
-		eng.RunUntil(warmup + window)
-		measuring = false
-		eng.RunUntil(deadline)
-		return float64(rxPkts) / window.Seconds() / 1e6,
-			float64(rxBytes) * 8 / window.Seconds() / 1e9
+		moved := measureWindow(eng, 150*flexdriver.Microsecond, window,
+			func() int64 { return rxPkts }, func() int64 { return rxBytes })
+		return float64(moved[0]) / window.Seconds() / 1e6, toGbps(moved[1], window)
 	}
 
-	fldMpps, fldGbps := run(true)
-	cpuMpps, cpuGbps := run(false)
+	rp, port := fldeRemoteBed()
+	fldMpps, fldGbps := run(rp.Engine(), port)
+	cpuRP, cpuPort := cpuRemoteBed(fwdCoreParams())
+	cpuMpps, cpuGbps := run(cpuRP.Engine(), cpuPort)
 	r.AddRow("FLD-E", f2(fldMpps), f2(fldGbps))
 	r.AddRow("CPU core", f2(cpuMpps), f2(cpuGbps))
 	r.Check("FLD-E mixed Mpps", 12.7, fldMpps, "Mpps", within(fldMpps, 12.7, 0.25), "line-bound")
@@ -442,27 +453,10 @@ func Table6(samples int) *Result {
 	r := &Result{ID: "table6", Title: "64 B echo RTT percentiles (us)"}
 	r.Columns = []string{"path", "mean", "median", "p99", "p99.9"}
 
-	runFLDE := func() stats.Summary {
-		rp, port, _ := fldeRemoteBed()
-		rp.Client.Drv.Prm = latencyDriverParams()
-		return closedLoopRTT(rp.Engine(), samples,
-			func(f []byte) { port.Send(f) },
-			func(fn func()) {
-				port.OnReceive = func([]byte, swdriver.RxMeta) { fn() }
-			})
-	}
-	runCPU := func() stats.Summary {
-		rp, port := cpuRemoteBed(serverCPUParams())
-		rp.Client.Drv.Prm = latencyDriverParams()
-		return closedLoopRTT(rp.Engine(), samples,
-			func(f []byte) { port.Send(f) },
-			func(fn func()) {
-				port.OnReceive = func([]byte, swdriver.RxMeta) { fn() }
-			})
-	}
-
-	flde := runFLDE()
-	cpu := runCPU()
+	rp, port := fldeRemoteBed()
+	flde := closedLoopRTT(rp, port, samples)
+	cpuRP, cpuPort := cpuRemoteBed(serverCPUParams())
+	cpu := closedLoopRTT(cpuRP, cpuPort, samples)
 	r.AddRow("FLD-E", f2(flde.Mean), f2(flde.Median), f2(flde.P99), f2(flde.P999))
 	r.AddRow("CPU", f2(cpu.Mean), f2(cpu.Median), f2(cpu.P99), f2(cpu.P999))
 
@@ -477,9 +471,12 @@ func Table6(samples int) *Result {
 	return r
 }
 
-// closedLoopRTT runs a one-in-flight 64 B echo and summarizes RTTs in us.
-func closedLoopRTT(eng *flexdriver.Engine, samples int,
-	send func([]byte), hookRx func(func())) stats.Summary {
+// closedLoopRTT runs a one-in-flight 64 B echo from port, with the
+// client driver modelling a single measuring core, and summarizes RTTs
+// in us.
+func closedLoopRTT(rp *flexdriver.RemotePair, port *swdriver.EthPort, samples int) stats.Summary {
+	rp.Client.Drv.Prm = latencyDriverParams()
+	eng := rp.Engine()
 	frame := netpkt.UDPFrame(netpkt.MACFrom(1), netpkt.MACFrom(2), netpkt.IPFrom(1), netpkt.IPFrom(2),
 		5000, 6000, make([]byte, 64-netpkt.UDPFrameOverhead))
 	var s stats.Sample
@@ -487,7 +484,7 @@ func closedLoopRTT(eng *flexdriver.Engine, samples int,
 	n := 0
 	const warmupSamples = 200
 	var fire func()
-	hookRx(func() {
+	port.OnReceive = func([]byte, swdriver.RxMeta) {
 		rtt := eng.Now() - sentAt
 		if n >= warmupSamples {
 			s.Add(rtt.Microseconds())
@@ -496,10 +493,10 @@ func closedLoopRTT(eng *flexdriver.Engine, samples int,
 		if n < samples+warmupSamples {
 			fire()
 		}
-	})
+	}
 	fire = func() {
 		sentAt = eng.Now()
-		send(frame)
+		port.Send(frame)
 	}
 	fire()
 	eng.Run()
@@ -565,20 +562,10 @@ func Fig7c(fractions []float64, perPoint int) *Result {
 
 func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99Us, achievedGbps float64) {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
-	rsrv := flexdriver.NewRServer(rp.Server.RT)
-	rsrv.Listen("echo")
-	rp.Server.RT.Start()
-	installFLDREcho(rp.Server.FLD, rsrv)
-	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
-	if err != nil {
-		panic(err)
-	}
-
+	ep := fldrEcho(rp.Client.Drv, rp.Server, flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
 	var lat stats.Sample
 	var sendTimes []flexdriver.Time
 	var rxBytes int64
-	var t0 flexdriver.Time
 	recv := 0
 	ep.OnMessage = func(data []byte) {
 		// Echoes return in order: match FIFO.
@@ -588,27 +575,11 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 		rxBytes += int64(len(data))
 	}
 	msg := make([]byte, size)
-	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := sim.NewRand(5)
-	sent := 0
-	var tick func()
-	tick = func() {
-		if sent >= samples {
-			return
-		}
-		sent++
+	dur := poissonLoad(rp, 5, size, offeredGbps, samples, func(int) {
 		sendTimes = append(sendTimes, rp.Engine().Now())
 		ep.Send(msg)
-		rp.Engine().After(rng.Exp(mean), tick)
-	}
-	t0 = rp.Engine().Now()
-	tick()
-	rp.Run()
-	dur := rp.Engine().Now() - t0
-	if dur <= 0 {
-		dur = 1
-	}
-	return lat.Median(), lat.Percentile(99), float64(rxBytes) * 8 / dur.Seconds() / 1e9
+	})
+	return lat.Median(), lat.Percentile(99), toGbps(rxBytes, dur)
 }
 
 // fldrLocalLowLoadLatency measures the single-node FLD-R echo RTT: the
@@ -616,15 +587,7 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 // the eSwitch to the FLD QP (the paper's local setup, 9.4 us median).
 func fldrLocalLowLoadLatency(size, samples int) float64 {
 	inn := flexdriver.NewLocalInnova(flexdriver.WithDriver(genDriverParams()))
-	rsrv := flexdriver.NewRServer(inn.RT)
-	rsrv.Listen("echo")
-	inn.RT.Start()
-	installFLDREcho(inn.FLD, rsrv)
-	ep, err := flexdriver.ConnectRDMA(inn.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 64, RecvEntries: 64})
-	if err != nil {
-		panic(err)
-	}
+	ep := fldrEcho(inn.Drv, inn, flexdriver.RDMAConfig{SendEntries: 64, RecvEntries: 64})
 	var lat stats.Sample
 	var sentAt flexdriver.Time
 	msg := make([]byte, size)

@@ -87,15 +87,9 @@ func IotLineRate(window flexdriver.Duration) *Result {
 	for _, size := range []int{256, 512, 1024} {
 		rp, afu, port := iotBed(1, 0)
 		frame := iotFrame(size, 100, 10000, key, "dev0")
-		interval := flexdriver.Duration(float64(len(frame)*8) / 26.5e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(rp.Engine(), interval, deadline, func() { port.Send(frame) })
-		rp.RunUntil(warmup)
-		start := afu.ValidBytes[1]
-		rp.RunUntil(warmup + window)
-		validated := float64(afu.ValidBytes[1]-start) * 8 / window.Seconds() / 1e9
-		rp.RunUntil(deadline)
+		paceSends(rp.Engine(), sendInterval(len(frame), 26.5), openEnded, func() { port.Send(frame) })
+		validated := toGbps(measureWindow(rp, 150*flexdriver.Microsecond, window,
+			func() int64 { return afu.ValidBytes[1] })[0], window)
 		line := perfmodel.EthernetGoodput(25, size)
 		meets := validated >= 0.90*line
 		if !meets {
@@ -149,19 +143,11 @@ func IotIsolation(window flexdriver.Duration) *Result {
 		afu.PerPacket = flexdriver.Duration(float64(8*size*8) / 12e9 * float64(flexdriver.Second))
 		frameA := iotFrame(size, 100, 10000, []byte("tenant-0-secret"), "devA")
 		frameB := iotFrame(size, 101, 20000, []byte("tenant-1-secret"), "devB")
-		intervalA := flexdriver.Duration(float64(size*8) / 8e9 * float64(flexdriver.Second))
-		intervalB := flexdriver.Duration(float64(size*8) / 16e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(rp.Engine(), intervalA, deadline, func() { port.Send(frameA) })
-		paceSends(rp.Engine(), intervalB, deadline, func() { port.Send(frameB) })
-		rp.RunUntil(warmup)
-		a0, b0 := afu.ValidBytes[1], afu.ValidBytes[2]
-		rp.RunUntil(warmup + window)
-		a = float64(afu.ValidBytes[1]-a0) * 8 / window.Seconds() / 1e9
-		b = float64(afu.ValidBytes[2]-b0) * 8 / window.Seconds() / 1e9
-		rp.RunUntil(deadline)
-		return a, b
+		paceSends(rp.Engine(), sendInterval(size, 8), openEnded, func() { port.Send(frameA) })
+		paceSends(rp.Engine(), sendInterval(size, 16), openEnded, func() { port.Send(frameB) })
+		moved := measureWindow(rp, 150*flexdriver.Microsecond, window,
+			func() int64 { return afu.ValidBytes[1] }, func() int64 { return afu.ValidBytes[2] })
+		return toGbps(moved[0], window), toGbps(moved[1], window)
 	}
 
 	ua, ub := run(0)

@@ -160,13 +160,8 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 		nhosts = p.Connections
 	}
 	clients := make([]*client, 0, nhosts)
-	for hi, base := 0, 0; hi < nhosts; hi++ {
-		k := p.Connections / nhosts
-		if hi < p.Connections%nhosts {
-			k++
-		}
+	flexdriver.SplitClients(p.Connections, nhosts, func(hi, b, k int) {
 		c := &client{}
-		b := base
 		zipf := sim.NewLightRand(p.Seed*77+int64(hi)).Zipf(p.ZipfS, 1, uint64(p.Keys-1))
 		src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
 			Clients:    k,
@@ -223,8 +218,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 			c.rxB += int64(len(fr))
 		}
 		clients = append(clients, c)
-		base += k
-	}
+	})
 
 	cl.RunUntil(p.Warmup)
 	measuring = true

@@ -5,15 +5,7 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/pcie"
-	"flexdriver/internal/swdriver"
 )
-
-// sumCounters totals every counter whose path starts with prefix and
-// ends with suffix — used to aggregate per-queue metrics (sq3/doorbells,
-// sq7/doorbells, ...) without knowing queue IDs.
-func sumCounters(s flexdriver.Snapshot, prefix, suffix string) int64 {
-	return s.Sum(prefix, suffix)
-}
 
 // reconcilePCIe compares the telemetry byte counters of every port on a
 // fabric against the ports' own UpBytes/DownBytes accounting, which the
@@ -63,15 +55,11 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 
 	reg := flexdriver.NewRegistry()
 	rec := reg.EnableRecorder(0) // default capacity
-	rp, port, _ := fldeRemoteBed(flexdriver.WithTelemetry(reg))
+	rp, port := fldeRemoteBed(flexdriver.WithTelemetry(reg))
 
-	achieved := measureEcho(echoBedFns{
-		eng:  rp.Engine(),
-		send: func(f []byte) { port.Send(f) },
-		onReceive: func(fn func(int)) {
-			port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-		},
-	}, 1024, 24, 150*flexdriver.Microsecond, window)
+	achieved := measureEcho(rp.Engine(), port, 1024, 24, window)
+	// Drain the generator's tail: the snapshot is read after it.
+	rp.Engine().RunUntil(echoWarmup + window + echoTail)
 
 	snap := reg.Snapshot()
 
@@ -88,19 +76,19 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 		name string
 		v    int64
 	}{
-		{"client SQ doorbells", sumCounters(snap, "client/swdriver/", "/tx/doorbells")},
-		{"client NIC WQE fetch reads", sumCounters(snap, "client/nic/", "/wqe_fetch_reads")},
-		{"client NIC WQEs fetched", sumCounters(snap, "client/nic/", "/wqe_fetched")},
-		{"client NIC CQEs", sumCounters(snap, "client/nic/", "/cqes")},
-		{"server eSwitch rule hits", sumCounters(snap, "server/nic/eswitch/", "/hits")},
-		{"server NIC CQEs", sumCounters(snap, "server/nic/", "/cqes")},
+		{"client SQ doorbells", snap.Sum("client/swdriver/", "/tx/doorbells")},
+		{"client NIC WQE fetch reads", snap.Sum("client/nic/", "/wqe_fetch_reads")},
+		{"client NIC WQEs fetched", snap.Sum("client/nic/", "/wqe_fetched")},
+		{"client NIC CQEs", snap.Sum("client/nic/", "/cqes")},
+		{"server eSwitch rule hits", snap.Sum("server/nic/eswitch/", "/hits")},
+		{"server NIC CQEs", snap.Sum("server/nic/", "/cqes")},
 		{"server FLD RQ doorbells", snap.Get("server/fld/doorbells/rq")},
 		{"server FLD MMIO WQEs", snap.Get("server/fld/doorbells/wqe_mmio")},
 		{"server FLD RX CQEs", snap.Get("server/fld/cqe/rx")},
 		{"server FLD TX CQEs", snap.Get("server/fld/cqe/tx")},
-		{"MemWr TLP segments (both nodes)", sumCounters(snap, "", "/memwr")},
-		{"MemRd TLP segments (both nodes)", sumCounters(snap, "", "/memrd")},
-		{"CplD TLP segments (both nodes)", sumCounters(snap, "", "/cpld")},
+		{"MemWr TLP segments (both nodes)", snap.Sum("", "/memwr")},
+		{"MemRd TLP segments (both nodes)", snap.Sum("", "/memrd")},
+		{"CplD TLP segments (both nodes)", snap.Sum("", "/cpld")},
 	}
 	allStages := true
 	for _, sg := range stages {

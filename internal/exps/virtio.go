@@ -37,23 +37,10 @@ func VirtioEchoGoodput(size int, offeredGbps float64, window flexdriver.Duration
 	virtio.ConnectLink(devA, devB, 25*flexdriver.Gbps, 500*flexdriver.Nanosecond)
 
 	var rxBytes int64
-	measuring := false
-	client.OnReceive = func(f []byte) {
-		if measuring {
-			rxBytes += int64(len(f))
-		}
-	}
+	client.OnReceive = func(f []byte) { rxBytes += int64(len(f)) }
 	frame := make([]byte, size)
-	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(eng, interval, deadline, func() { client.Send(frame) })
-	eng.RunUntil(warmup)
-	measuring = true
-	eng.RunUntil(warmup + window)
-	measuring = false
-	eng.RunUntil(deadline)
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	paceSends(eng, sendInterval(size, offeredGbps), openEnded, func() { client.Send(frame) })
+	return toGbps(measureWindow(eng, 150*flexdriver.Microsecond, window, func() int64 { return rxBytes })[0], window)
 }
 
 // Portability compares the same echo AFU over the two NIC contracts: the

@@ -6,7 +6,6 @@ import (
 	"flexdriver"
 	"flexdriver/internal/accel/zuc"
 	"flexdriver/internal/perfmodel"
-	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 )
 
@@ -14,16 +13,12 @@ import (
 // driver over FLD-R to an 8-lane ZUC AFU.
 func zucBed() (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptodev) {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
-	rsrv := flexdriver.NewRServer(rp.Server.RT)
-	rsrv.Listen("zuc")
-	rp.Server.RT.Start()
-	afu := zuc.NewAFU(rp.Server.FLD, rp.Engine(), 8, zuc.DefaultLaneParams())
-	afu.QueueFor = rsrv.QueueFor
-	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "zuc",
-		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
-	if err != nil {
-		panic(err)
-	}
+	var afu *zuc.AFU
+	ep := connectFLDR(rp.Client.Drv, rp.Server, "zuc", flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128},
+		func(rsrv *flexdriver.RServer) {
+			afu = zuc.NewAFU(rp.Server.FLD, rp.Engine(), 8, zuc.DefaultLaneParams())
+			afu.QueueFor = rsrv.QueueFor
+		})
 	return rp, afu, zuc.NewCryptodev(rp.Engine(), ep)
 }
 
@@ -49,30 +44,15 @@ func zucThroughputAt(size int, window flexdriver.Duration) float64 {
 	key := [16]byte{1, 2, 3}
 	data := make([]byte, size)
 
-	model := perfmodel.DefaultZucModel().Goodput(size)
-	offered := 1.05 * model
-	interval := flexdriver.Duration(float64(size*8) / (offered * 1e9) * float64(flexdriver.Second))
-
+	offered := 1.05 * perfmodel.DefaultZucModel().Goodput(size)
 	var doneBytes int64
-	measuring := false
 	count := uint32(0)
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 150*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() {
+	paceSends(rp.Engine(), sendInterval(size, offered), openEnded, func() {
 		count++
 		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: count, Data: data,
-			Done: func(o *zuc.Op) {
-				if measuring {
-					doneBytes += int64(size)
-				}
-			}})
+			Done: func(*zuc.Op) { doneBytes += int64(size) }})
 	})
-	rp.RunUntil(warmup)
-	measuring = true
-	rp.RunUntil(warmup + window)
-	measuring = false
-	rp.RunUntil(deadline)
-	return float64(doneBytes) * 8 / window.Seconds() / 1e9
+	return toGbps(measureWindow(rp, 150*flexdriver.Microsecond, window, func() int64 { return doneBytes })[0], window)
 }
 
 // zucCPUThroughputAt measures the local software driver at one size.
@@ -82,7 +62,6 @@ func zucCPUThroughputAt(size int, window flexdriver.Duration) float64 {
 	key := [16]byte{1, 2, 3}
 	data := make([]byte, size)
 	var doneBytes int64
-	measuring := false
 	// Closed-ish loop: keep the core saturated with a small queue.
 	var submit func()
 	inflight := 0
@@ -92,9 +71,7 @@ func zucCPUThroughputAt(size int, window flexdriver.Duration) float64 {
 			sc.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: 1, Data: data,
 				Done: func(*zuc.Op) {
 					inflight--
-					if measuring {
-						doneBytes += int64(size)
-					}
+					doneBytes += int64(size)
 					if eng.Now() < 2*window {
 						submit()
 					}
@@ -102,13 +79,7 @@ func zucCPUThroughputAt(size int, window flexdriver.Duration) float64 {
 		}
 	}
 	submit()
-	warmup := 20 * flexdriver.Microsecond
-	eng.RunUntil(warmup)
-	measuring = true
-	eng.RunUntil(warmup + window)
-	measuring = false
-	eng.Run()
-	return float64(doneBytes) * 8 / window.Seconds() / 1e9
+	return toGbps(measureWindow(eng, 20*flexdriver.Microsecond, window, func() int64 { return doneBytes })[0], window)
 }
 
 // Fig8a reproduces the ZUC encryption throughput comparison.
@@ -177,30 +148,14 @@ func zucLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99
 	data := make([]byte, size)
 	var lat stats.Sample
 	var bytes int64
-	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := sim.NewRand(3)
-	sent := 0
-	t0 := rp.Engine().Now()
-	var tick func()
-	tick = func() {
-		if sent >= samples {
-			return
-		}
-		sent++
-		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: uint32(sent), Data: data,
+	dur := poissonLoad(rp, 3, size, offeredGbps, samples, func(n int) {
+		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: uint32(n), Data: data,
 			Done: func(o *zuc.Op) {
 				lat.Add((o.DoneAt - o.SubmittedAt).Microseconds())
 				bytes += int64(size)
 			}})
-		rp.Engine().After(rng.Exp(mean), tick)
-	}
-	tick()
-	rp.Run()
-	dur := rp.Engine().Now() - t0
-	if dur <= 0 {
-		dur = 1
-	}
-	return lat.Median(), lat.Percentile(99), float64(bytes) * 8 / dur.Seconds() / 1e9
+	})
+	return lat.Median(), lat.Percentile(99), toGbps(bytes, dur)
 }
 
 func zucCPULatency(size int, samples int) float64 {

@@ -429,14 +429,7 @@ func Run(s Spec) *Result {
 		// conservation bookkeeping moves to host granularity — OnSend
 		// stamps the host-level ordinal, so the per-sequence ledger spans
 		// every client the host carries.
-		base := 0
-		for hi := 0; hi < s.AggHosts; hi++ {
-			k := s.AggClients / s.AggHosts
-			if hi < s.AggClients%s.AggHosts {
-				k++
-			}
-			b := base
-			base += k
+		flexdriver.SplitClients(s.AggClients, s.AggHosts, func(hi, b, k int) {
 			c := &client{recv: make(map[int64]int64)}
 			src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
 				Clients:    k,
@@ -461,7 +454,7 @@ func Run(s Spec) *Result {
 			c.host, c.port = src.Host, src.Port
 			hookRecv(c, 0)
 			clients = append(clients, c)
-		}
+		})
 	}
 	for ci := 0; s.AggClients == 0 && ci < s.Clients; ci++ {
 		h, port := cl.AddClient(fmt.Sprintf("client%d", ci))

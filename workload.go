@@ -162,6 +162,21 @@ func AttachAggregatedClients(h *Host, cfg AggregatedClientsConfig) *AggregatedCl
 	return s
 }
 
+// SplitClients folds n modeled clients onto hosts aggregated sources as
+// evenly as possible, the first n%hosts hosts carrying one extra. It
+// calls each in host order with the host's index, the global index of
+// its first client (the base a StreamSeed adds) and its client count.
+func SplitClients(n, hosts int, each func(host, first, count int)) {
+	for hi, first := 0, 0; hi < hosts; hi++ {
+		k := n / hosts
+		if hi < n%hosts {
+			k++
+		}
+		each(hi, first, k)
+		first += k
+	}
+}
+
 // Clients returns K, the number of modeled clients.
 func (s *AggregatedClients) Clients() int { return len(s.cs) }
 
