@@ -58,12 +58,11 @@ func (p *pagePool) alloc(data []byte) []uint16 {
 	return pages
 }
 
-// read returns size bytes starting at the given offset within a page.
-func (p *pagePool) read(page uint16, offset, size int) []byte {
+// appendRead appends size bytes starting at the given offset within a
+// page to dst.
+func (p *pagePool) appendRead(dst []byte, page uint16, offset, size int) []byte {
 	base := int(page)*p.pageBytes + offset
-	out := make([]byte, size)
-	copy(out, p.mem[base:base+size])
-	return out
+	return append(dst, p.mem[base:base+size]...)
 }
 
 // release returns pages to the free list.

@@ -29,7 +29,7 @@ func TestPagePoolAllocRead(t *testing.T) {
 		if i == 2 {
 			n = 1300 - 1024
 		}
-		got = append(got, p.read(pg, 0, n)...)
+		got = p.appendRead(got, pg, 0, n)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("page contents corrupted")
@@ -93,7 +93,7 @@ func TestPagePoolChurnNeverLosesPages(t *testing.T) {
 				if n > rem {
 					n = rem
 				}
-				got = append(got, p.read(pg, 0, n)...)
+				got = p.appendRead(got, pg, 0, n)
 				rem -= n
 			}
 			if !bytes.Equal(got, a.data) {

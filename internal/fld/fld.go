@@ -109,6 +109,7 @@ type FLD struct {
 
 	txPipe  *sim.Resource // II pacing for the transmit pipeline
 	rxPipe  *sim.Resource // II pacing for the receive pipeline
+	freeOp  *fldOp        // freelist of pipeline records
 	handler Handler
 
 	onCredits func()
@@ -270,9 +271,9 @@ func (f *FLD) writeRQDoorbell() {
 	if t := f.tlm; t != nil {
 		t.rqDoorbells.Inc()
 	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], f.rxPI)
-	f.port.Write(f.nicBAR+nic.RQDoorbellOffset(f.rxRQN), b[:], nil)
+	b := f.eng.Bufs().Get(4)
+	binary.BigEndian.PutUint32(b, f.rxPI)
+	f.port.WriteOwned(f.nicBAR+nic.RQDoorbellOffset(f.rxRQN), b, nil)
 }
 
 // --- Transmit path -------------------------------------------------------
@@ -372,31 +373,49 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	}
 
 	// Pace the hardware pipeline, then notify the NIC.
-	f.txPipe.Acquire(f.cfg.PacketInterval(), func() {
-		f.eng.After(f.cfg.PipelineDelay, func() {
-			if f.cfg.WQEByMMIO {
-				wqe := f.generateWQE(q, idx)
-				if t := f.tlm; t != nil {
-					t.wqeMMIO.Inc()
-				}
-				f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
-			} else {
-				var b [4]byte
-				binary.BigEndian.PutUint32(b[:], tq.pi)
-				if t := f.tlm; t != nil {
-					t.sqDoorbells.Inc()
-				}
-				f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), b[:], nil)
-			}
-		})
-	})
+	op := f.getOp()
+	op.q, op.idx = q, idx
+	f.txPipe.AcquireArg(f.cfg.PacketInterval(), fldTxPaced, op)
 	return nil
 }
 
+// fldTxPaced: the descriptor left the transmit pipeline's II pacing; the
+// doorbell follows after the pipeline latency.
+func fldTxPaced(a any) {
+	op := a.(*fldOp)
+	op.f.eng.AfterArg(op.f.cfg.PipelineDelay, fldTxNotify, op)
+}
+
+// fldTxNotify notifies the NIC of the new descriptor: the descriptor
+// itself by MMIO, or a doorbell carrying the queue's current producer
+// index.
+func fldTxNotify(a any) {
+	op := a.(*fldOp)
+	f, q, idx := op.f, op.q, op.idx
+	f.putOp(op)
+	tq := f.queues[q]
+	addr := f.nicBAR + nic.SQDoorbellOffset(tq.nicSQN)
+	if f.cfg.WQEByMMIO {
+		wqe := f.eng.Bufs().Get(nic.SendWQESize)
+		f.generateWQE(q, idx, wqe)
+		if t := f.tlm; t != nil {
+			t.wqeMMIO.Inc()
+		}
+		f.port.WriteOwned(addr, wqe, nil)
+		return
+	}
+	b := f.eng.Bufs().Get(4)
+	binary.BigEndian.PutUint32(b, tq.pi)
+	if t := f.tlm; t != nil {
+		t.sqDoorbells.Inc()
+	}
+	f.port.WriteOwned(addr, b, nil)
+}
+
 // generateWQE synthesizes the 64-byte NIC descriptor for (queue, index)
-// from the compressed pool — the on-the-fly structure generation at the
-// heart of §5.2.
-func (f *FLD) generateWQE(q int, idx uint32) []byte {
+// into b from the compressed pool — the on-the-fly structure generation
+// at the heart of §5.2.
+func (f *FLD) generateWQE(q int, idx uint32, b []byte) {
 	ringKey := uint64(q)<<32 | uint64(idx%uint32(f.cfg.TxRingEntries))
 	slotv, ok := f.descXlt.Lookup(ringKey)
 	if t := f.tlm; t != nil {
@@ -410,9 +429,9 @@ func (f *FLD) generateWQE(q int, idx uint32) []byte {
 		// The NIC read a descriptor FLD never posted: emit an invalid
 		// WQE; the NIC will complete it with an error that flows back
 		// through the control plane's error channel.
-		bad := make([]byte, nic.SendWQESize)
-		bad[0] = 0xff // invalid opcode
-		return bad
+		clear(b[:nic.SendWQESize])
+		b[0] = 0xff // invalid opcode
+		return
 	}
 	d := f.descPool[slotv]
 	vaddr := f.port.Base() + f.txDataBase +
@@ -427,7 +446,7 @@ func (f *FLD) generateWQE(q int, idx uint32) []byte {
 		Addr:    vaddr,
 		Len:     uint32(d.Len),
 	}
-	return w.Marshal()
+	w.MarshalInto(b)
 }
 
 // --- pcie.Device ----------------------------------------------------------
@@ -471,11 +490,12 @@ func (f *FLD) MMIORead(offset uint64, size int) []byte {
 func (f *FLD) readDescRegion(off uint64, size int) []byte {
 	ringBytes := uint64(f.cfg.TxRingEntries) * nic.SendWQESize
 	out := make([]byte, 0, size)
+	var wqe [nic.SendWQESize]byte
 	for len(out) < size {
 		q := int(off / ringBytes)
 		idx := uint32((off % ringBytes) / nic.SendWQESize)
 		within := int(off % nic.SendWQESize)
-		wqe := f.generateWQE(q, idx)
+		f.generateWQE(q, idx, wqe[:])
 		take := nic.SendWQESize - within
 		if take > size-len(out) {
 			take = size - len(out)
@@ -505,7 +525,7 @@ func (f *FLD) readDataRegion(off uint64, size int) []byte {
 			if t := f.tlm; t != nil {
 				t.dataHits.Inc()
 			}
-			out = append(out, f.txPool.read(uint16(phys), pageOff, take)...)
+			out = f.txPool.appendRead(out, uint16(phys), pageOff, take)
 		} else {
 			if t := f.tlm; t != nil {
 				t.dataMisses.Inc()
@@ -717,20 +737,61 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		Last:       rec.Last,
 		ChecksumOK: rec.ChecksumOK,
 	}
-	f.rxPipe.Acquire(f.cfg.PacketInterval(), func() {
-		f.eng.After(f.cfg.PipelineDelay, func() {
-			if f.downN > 0 {
-				// The function crashed while the packet was in the
-				// streaming pipeline: it dies with the SRAM.
-				f.Stats.CrashDrops++
-				if t := f.tlm; t != nil {
-					t.crashDrops.Inc()
-				}
-				return
-			}
-			if f.handler != nil {
-				f.handler.Receive(data, md)
-			}
-		})
-	})
+	op := f.getOp()
+	op.data, op.md = data, md
+	f.rxPipe.AcquireArg(f.cfg.PacketInterval(), fldRxPaced, op)
+}
+
+// fldRxPaced: the packet left the receive pipeline's II pacing; it
+// reaches the accelerator after the pipeline latency.
+func fldRxPaced(a any) {
+	op := a.(*fldOp)
+	op.f.eng.AfterArg(op.f.cfg.PipelineDelay, fldRxDeliver, op)
+}
+
+// fldRxDeliver streams the packet to the accelerator.
+func fldRxDeliver(a any) {
+	op := a.(*fldOp)
+	f, data, md := op.f, op.data, op.md
+	f.putOp(op)
+	if f.downN > 0 {
+		// The function crashed while the packet was in the streaming
+		// pipeline: it dies with the SRAM.
+		f.Stats.CrashDrops++
+		if t := f.tlm; t != nil {
+			t.crashDrops.Inc()
+		}
+		return
+	}
+	if f.handler != nil {
+		f.handler.Receive(data, md)
+	}
+}
+
+// fldOp carries one packet across a paced FLD pipeline: a transmit
+// descriptor on its way to the NIC doorbell (q, idx) or a received packet
+// on its way to the accelerator (data, md). Records are recycled through
+// the FLD's freelist, so the per-packet pipeline stages schedule no
+// closures.
+type fldOp struct {
+	f    *FLD
+	q    int
+	idx  uint32
+	data []byte
+	md   Metadata
+	next *fldOp
+}
+
+func (f *FLD) getOp() *fldOp {
+	if op := f.freeOp; op != nil {
+		f.freeOp = op.next
+		op.next = nil
+		return op
+	}
+	return &fldOp{f: f}
+}
+
+func (f *FLD) putOp(op *fldOp) {
+	*op = fldOp{f: f, next: f.freeOp}
+	f.freeOp = op
 }

@@ -102,7 +102,7 @@ func (sq *SQ) Reset() {
 	sq.epoch++
 	sq.ci = sq.pi
 	sq.inflight = 0
-	sq.mmio = make(map[uint32][]byte)
+	sq.dropMMIO()
 	sq.state = QueueReady
 	sq.n.noteRecovery()
 }
@@ -119,7 +119,7 @@ func (sq *SQ) ResetTo(ci, pi uint32) {
 	sq.epoch++
 	sq.ci, sq.pi = ci, pi
 	sq.inflight = 0
-	sq.mmio = make(map[uint32][]byte)
+	sq.dropMMIO()
 	sq.state = QueueReady
 	sq.n.noteRecovery()
 	sq.kick()
@@ -161,8 +161,8 @@ func (rq *RQ) Reset() {
 	rq.fetchSeq, rq.drainSeq = 0, 0
 	rq.fetched = nil
 	rq.ready = nil
-	rq.backlog = nil
-	rq.cur = nil
+	rq.backlog, rq.bhead = nil, 0
+	rq.curOK = false
 	rq.state = QueueReady
 	rq.n.noteRecovery()
 	rq.prefetch()

@@ -40,7 +40,12 @@ type Match struct {
 	FlowTag    *uint32
 }
 
-// pktView caches the parsed headers of the packet's current form.
+// pktView caches the parsed headers of the packet's current form. Views
+// come from a per-NIC freelist (getView/putView) and also carry the
+// packet's pipeline state between events, so the eSwitch path schedules
+// the view itself through arg-form callbacks instead of per-frame
+// closures. A view is returned to the freelist when its packet reaches a
+// terminal disposition.
 type pktView struct {
 	frame   []byte
 	flowTag uint32
@@ -50,6 +55,21 @@ type pktView struct {
 	// tenant's identity.
 	domain int
 
+	pktHdrs
+
+	// Pipeline state: the owning NIC, the vport whose table the packet
+	// enters next (egress) or hairpins to, the receive queue a shaped
+	// delivery targets, and the sender's completion hook, fired exactly
+	// once (see sent).
+	n      *NIC
+	vp     *VPort
+	rq     *RQ
+	onWire func()
+	next   *pktView
+}
+
+// pktHdrs is the header cache parse derives from the current frame.
+type pktHdrs struct {
 	ethOK  bool
 	eth    netpkt.Eth
 	ipOK   bool
@@ -60,28 +80,32 @@ type pktView struct {
 	vxlan  bool
 	vni    uint32
 	csumOK bool
+	rss    uint32 // RSS hash of the frame, once rssOK
+	rssOK  bool
 }
 
-func parseView(frame []byte, flowTag uint32) *pktView {
-	v := &pktView{frame: frame, flowTag: flowTag, csumOK: true}
+// parse points the view at frame and re-derives its header cache.
+func (v *pktView) parse(frame []byte, flowTag uint32) {
+	v.frame, v.flowTag = frame, flowTag
+	v.pktHdrs = pktHdrs{csumOK: true}
 	eth, p, err := netpkt.ParseEth(frame)
 	if err != nil {
-		return v
+		return
 	}
 	v.ethOK = true
 	v.eth = eth
 	if eth.EtherType != netpkt.EtherTypeIPv4 {
-		return v
+		return
 	}
 	ip, l4, err := netpkt.ParseIPv4(p)
 	if err != nil {
 		v.csumOK = false
-		return v
+		return
 	}
 	v.ipOK = true
 	v.ip = ip
 	if ip.IsFragment() && ip.FragOffset != 0 {
-		return v // no L4 header in non-first fragments
+		return // no L4 header in non-first fragments
 	}
 	switch ip.Proto {
 	case netpkt.ProtoUDP:
@@ -101,16 +125,42 @@ func parseView(frame []byte, flowTag uint32) *pktView {
 			v.sport, v.dport = t.SrcPort, t.DstPort
 		}
 	}
-	return v
 }
 
 // reparse swaps the view's frame for a rewritten one (encap, decap,
 // decrypt), re-deriving the header caches while the packet keeps its
 // flow tag and forwarding domain.
-func (v *pktView) reparse(frame []byte) {
-	dom := v.domain
-	*v = *parseView(frame, v.flowTag)
-	v.domain = dom
+func (v *pktView) reparse(frame []byte) { v.parse(frame, v.flowTag) }
+
+// rssHash returns the frame's RSS hash, computing it at most once per
+// parse: TIR spreading and the receive CQE both need it.
+func (v *pktView) rssHash() uint32 {
+	if !v.rssOK {
+		v.rss, v.rssOK = netpkt.RSSHash(v.frame), true
+	}
+	return v.rss
+}
+
+// sent fires the sender's completion hook, at most once.
+func (v *pktView) sent() {
+	if f := v.onWire; f != nil {
+		v.onWire = nil
+		f()
+	}
+}
+
+func (n *NIC) getView() *pktView {
+	if v := n.freeView; v != nil {
+		n.freeView = v.next
+		v.next = nil
+		return v
+	}
+	return &pktView{n: n}
+}
+
+func (n *NIC) putView(v *pktView) {
+	*v = pktView{n: n, next: n.freeView}
+	n.freeView = v
 }
 
 // Matches reports whether the view satisfies every set field.
@@ -271,29 +321,22 @@ func (e *ESwitch) ClearTable(table int) { delete(e.tables, table) }
 const maxTableHops = 8
 
 // process runs a packet view through the match-action pipeline starting at
-// the given table and applies the terminal disposition. onWire (the
-// sender's completion hook) fires exactly once on every terminal path —
+// the given table and applies the terminal disposition. The sender's
+// completion hook (v.onWire) fires exactly once on every terminal path —
 // including drops, as a real NIC completes the send WQE regardless of the
-// packet's fate.
-func (e *ESwitch) process(table int, v *pktView, onWire func()) {
-	sent := func() {
-		if onWire != nil {
-			f := onWire
-			onWire = nil
-			f()
-		}
-	}
+// packet's fate. process owns v: every terminal path returns it to the
+// NIC's freelist.
+func (e *ESwitch) process(table int, v *pktView) {
 	for hop := 0; hop < maxTableHops; hop++ {
 		rule := e.match(table, v)
 		if rule == nil {
-			e.nic.drop(DropESwitchMiss)
-			sent()
+			e.discard(v, DropESwitchMiss)
 			return
 		}
 		if e.tlm != nil {
 			e.tlm.hits[table].Inc()
 		}
-		a := rule.Action
+		a := &rule.Action
 		if a.Count != "" {
 			e.Counters[a.Count]++
 			if e.tlm != nil {
@@ -301,21 +344,18 @@ func (e *ESwitch) process(table int, v *pktView, onWire func()) {
 			}
 		}
 		if a.Policer != nil && !a.Policer.Admit(len(v.frame)) {
-			e.nic.drop(DropPolicer)
-			sent()
+			e.discard(v, DropPolicer)
 			return
 		}
 		if a.Decap {
 			if !e.decap(v) {
-				e.nic.drop(DropDecapFailed)
-				sent()
+				e.discard(v, DropDecapFailed)
 				return
 			}
 		}
 		if a.ESPDecrypt != nil {
 			if !e.espDecrypt(v, a.ESPDecrypt) {
-				e.nic.drop(DropESPAuthFailed)
-				sent()
+				e.discard(v, DropESPAuthFailed)
 				return
 			}
 		}
@@ -328,78 +368,104 @@ func (e *ESwitch) process(table int, v *pktView, onWire func()) {
 		if a.SetFlowTag != nil {
 			v.flowTag = *a.SetFlowTag
 		}
-		run := func(disposition func()) {
-			if a.Shaper != nil {
-				if d := a.Shaper.Reserve(len(v.frame)); d > 0 {
-					e.nic.eng.After(d, disposition)
-					return
-				}
-			}
-			disposition()
-		}
 		switch {
 		case a.Drop:
-			e.nic.drop(DropRuleDrop)
-			sent()
+			e.discard(v, DropRuleDrop)
 			return
 		case a.ToTable != nil:
 			table = *a.ToTable
 			continue
 		case a.ToWire:
-			run(func() { e.nic.transmitWire(v.frame, onWire) })
+			e.dispose(a, v, eswToWire)
 			return
 		case a.ToVPort != nil:
 			vp := e.vports[*a.ToVPort]
 			if vp == nil {
-				e.nic.drop(DropNoSuchVPort)
-				sent()
+				e.discard(v, DropNoSuchVPort)
 				return
 			}
 			if e.crossDomain(v, vp.Domain) {
-				e.nic.drop(DropCrossDomain)
-				sent()
+				e.discard(v, DropCrossDomain)
 				return
 			}
-			// Hairpin through the switch fabric.
-			run(func() {
-				e.loopback.Acquire(e.LoopbackRate.Serialize(len(v.frame)), func() {
-					sent()
-					e.process(vp.IngressTable, v, nil)
-				})
-			})
+			v.vp = vp
+			e.dispose(a, v, eswHairpin)
 			return
 		case a.ToRQ != nil:
 			if e.crossDomain(v, a.ToRQ.domain()) {
-				e.nic.drop(DropCrossDomain)
-				sent()
+				e.discard(v, DropCrossDomain)
 				return
 			}
-			rq := a.ToRQ
-			run(func() {
-				sent()
-				e.deliverRQ(rq, v)
-			})
+			v.rq = a.ToRQ
+			e.dispose(a, v, eswToRQ)
 			return
 		case a.ToTIR != nil:
-			rq := a.ToTIR.pick(netpkt.RSSHash(v.frame))
+			rq := a.ToTIR.pick(v.rssHash())
 			if e.crossDomain(v, rq.domain()) {
-				e.nic.drop(DropCrossDomain)
-				sent()
+				e.discard(v, DropCrossDomain)
 				return
 			}
-			run(func() {
-				sent()
-				e.deliverRQ(rq, v)
-			})
+			v.rq = rq
+			e.dispose(a, v, eswToRQ)
 			return
 		default:
-			e.nic.drop(DropNoDisposition)
-			sent()
+			e.discard(v, DropNoDisposition)
 			return
 		}
 	}
-	e.nic.drop(DropTableLoop)
-	sent()
+	e.discard(v, DropTableLoop)
+}
+
+// discard drops the packet for reason, completing its send.
+func (e *ESwitch) discard(v *pktView, reason DropReason) {
+	e.nic.drop(reason)
+	v.sent()
+	e.nic.putView(v)
+}
+
+// dispose applies a terminal disposition (one of the esw* trampolines
+// below) now, or after the rule's egress shaper delay.
+func (e *ESwitch) dispose(a *Action, v *pktView, fn func(any)) {
+	if a.Shaper != nil {
+		if d := a.Shaper.Reserve(len(v.frame)); d > 0 {
+			e.nic.eng.AfterArg(d, fn, v)
+			return
+		}
+	}
+	fn(v)
+}
+
+// eswToWire emits the packet on the physical port, which fires the
+// sender's hook once the frame has left.
+func eswToWire(a any) {
+	v := a.(*pktView)
+	n, frame, onWire := v.n, v.frame, v.onWire
+	n.putView(v)
+	n.transmitWire(frame, onWire)
+}
+
+// eswHairpin carries the packet through the switch fabric toward v.vp.
+func eswHairpin(a any) {
+	v := a.(*pktView)
+	e := v.n.esw
+	e.loopback.AcquireArg(e.LoopbackRate.Serialize(len(v.frame)), eswHairpinDone, v)
+}
+
+// eswHairpinDone: the hairpin completed; the packet enters the target
+// vport's ingress table.
+func eswHairpinDone(a any) {
+	v := a.(*pktView)
+	v.sent()
+	v.n.esw.process(v.vp.IngressTable, v)
+}
+
+// eswToRQ completes the send and delivers the packet to v.rq.
+func eswToRQ(a any) {
+	v := a.(*pktView)
+	v.sent()
+	e := v.n.esw
+	e.deliverRQ(v.rq, v)
+	e.nic.putView(v)
 }
 
 func (e *ESwitch) match(table int, v *pktView) *Rule {
@@ -461,7 +527,7 @@ func (e *ESwitch) deliverRQ(rq *RQ, v *pktView) {
 		Last:       true,
 		ChecksumOK: v.csumOK && v.ipOK,
 		FlowTag:    v.flowTag,
-		RSSHash:    netpkt.RSSHash(v.frame),
+		RSSHash:    v.rssHash(),
 	}
 	rq.deliver(v.frame, cqe)
 }
@@ -481,11 +547,18 @@ func (n *NIC) egress(vp *VPort, frame []byte, flowTag uint32, onSent func()) {
 		t.txPackets.Inc()
 		t.txBytes.Add(int64(len(frame)))
 	}
-	v := parseView(frame, flowTag)
+	v := n.getView()
+	v.parse(frame, flowTag)
 	v.domain = vp.Domain
-	n.eng.After(n.Prm.PipelineDelay, func() {
-		n.esw.process(vp.EgressTable, v, onSent)
-	})
+	v.vp, v.onWire = vp, onSent
+	n.eng.AfterArg(n.Prm.PipelineDelay, egressPipe, v)
+}
+
+// egressPipe: the frame crossed the transmit pipeline; it enters the
+// sending vport's egress table.
+func egressPipe(a any) {
+	v := a.(*pktView)
+	v.n.esw.process(v.vp.EgressTable, v)
 }
 
 // transmitWire puts a frame on the physical port. Callers account
@@ -508,26 +581,39 @@ func (n *NIC) Ingress(frame []byte) {
 		n.drop(DropDeviceDown)
 		return
 	}
-	n.rxEngine.Acquire(n.Prm.RxPerPkt, func() {
-		n.eng.After(n.Prm.PipelineDelay, func() {
-			// RoCE transport packets bypass the match-action pipeline:
-			// the NIC's hardware transport consumes them directly. They
-			// still count as port receives, in both stats stores — the
-			// telemetry-mirror invariant holds the two equal.
-			if bth, payload, ok := parseRoCE(frame); ok {
-				n.Stats.RxPackets++
-				n.Stats.RxBytes += int64(len(frame))
-				if t := n.tlm; t != nil {
-					t.rxPackets.Inc()
-					t.rxBytes.Add(int64(len(frame)))
-				}
-				n.rdmaIngress(bth, payload)
-				return
-			}
-			v := parseView(frame, 0)
-			n.esw.process(0, v, nil)
-		})
-	})
+	v := n.getView()
+	v.frame = frame
+	n.rxEngine.AcquireArg(n.Prm.RxPerPkt, ingressServed, v)
+}
+
+// ingressServed: the receive engine took the frame; it crosses the
+// receive pipeline next.
+func ingressServed(a any) {
+	v := a.(*pktView)
+	v.n.eng.AfterArg(v.n.Prm.PipelineDelay, ingressPipe, v)
+}
+
+// ingressPipe: the frame crossed the receive pipeline.
+func ingressPipe(a any) {
+	v := a.(*pktView)
+	n, frame := v.n, v.frame
+	// RoCE transport packets bypass the match-action pipeline: the NIC's
+	// hardware transport consumes them directly. They still count as
+	// port receives, in both stats stores — the telemetry-mirror
+	// invariant holds the two equal.
+	if bth, payload, ok := parseRoCE(frame); ok {
+		n.putView(v)
+		n.Stats.RxPackets++
+		n.Stats.RxBytes += int64(len(frame))
+		if t := n.tlm; t != nil {
+			t.rxPackets.Inc()
+			t.rxBytes.Add(int64(len(frame)))
+		}
+		n.rdmaIngress(bth, payload)
+		return
+	}
+	v.parse(frame, 0)
+	n.esw.process(0, v)
 }
 
 // LoopbackUtil reports the hairpin fabric's utilization (diagnostics).

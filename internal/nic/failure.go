@@ -107,10 +107,10 @@ func (rq *RQ) fail() {
 	rq.state = QueueError
 	rq.epoch++
 	rq.n.noteQueueError()
-	for range rq.backlog {
+	for range rq.backlogLen() {
 		rq.n.drop(DropDeviceDown)
 	}
-	rq.backlog = nil
+	rq.backlog, rq.bhead = nil, 0
 }
 
 // fail silently transitions the QP to Error: in-flight messages die with

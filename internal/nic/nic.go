@@ -125,6 +125,8 @@ type NIC struct {
 	freeTx   *txSend
 	freeCQW  *cqWrite
 	freeRx   *rxDone
+	freeView *pktView
+	freeRd   *nicRead
 
 	nextQN uint32
 
@@ -408,9 +410,21 @@ func (sq *SQ) ringDoorbell(pi uint32) {
 // acts as a doorbell for one entry.
 func (sq *SQ) pushWQE(b []byte) {
 	sq.tWQEMMIO.Inc()
-	sq.mmio[sq.pi] = append([]byte(nil), b...)
+	// b belongs to the write that carried it; keep a pooled copy until
+	// the descriptor executes (sqExecRun returns it).
+	w := sq.n.eng.Bufs().Get(len(b))
+	copy(w, b)
+	sq.mmio[sq.pi] = w
 	sq.pi++
 	sq.kick()
+}
+
+// dropMMIO discards every pushed-but-unexecuted descriptor (queue reset).
+func (sq *SQ) dropMMIO() {
+	for _, w := range sq.mmio {
+		sq.n.eng.Bufs().Put(w)
+	}
+	sq.mmio = make(map[uint32][]byte)
 }
 
 // sqFetchBatch is how many ring descriptors one PCIe read covers (the
@@ -432,7 +446,7 @@ func (sq *SQ) kick() {
 			delete(sq.mmio, idx)
 			sq.inflight++
 			x := sq.n.getSQExec()
-			x.sq, x.ep, x.idx, x.raw = sq, ep, idx, b
+			x.sq, x.ep, x.idx, x.raw, x.pooled = sq, ep, idx, b, true
 			sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
 			continue
 		}
@@ -460,22 +474,31 @@ func (sq *SQ) kick() {
 		sq.tFetchReads.Inc()
 		sq.tFetchedWQEs.Add(int64(count))
 		sq.tFetchBatch.Observe(int64(count))
-		sq.n.port.Read(addr, count*SendWQESize, func(c pcie.Completion) {
-			if sq.epoch != ep {
-				return // queue was reset while the fetch was in flight
-			}
-			if !c.OK() {
-				sq.enterError(SynQueueErr)
-				return
-			}
-			for i := 0; i < count; i++ {
-				x := sq.n.getSQExec()
-				x.sq, x.ep = sq, ep
-				x.idx = first + uint32(i)
-				x.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
-				sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
-			}
-		})
+		r := sq.n.getRead()
+		r.sq, r.ep, r.idx, r.n = sq, ep, first, count
+		sq.n.port.ReadArg(addr, count*SendWQESize, sqFetchDone, r)
+	}
+}
+
+// sqFetchDone receives a batch of ring descriptors and queues each for
+// execution.
+func sqFetchDone(c pcie.Completion, a any) {
+	r := a.(*nicRead)
+	sq, ep, first, count := r.sq, r.ep, r.idx, r.n
+	sq.n.putRead(r)
+	if sq.epoch != ep {
+		return // queue was reset while the fetch was in flight
+	}
+	if !c.OK() {
+		sq.enterError(SynQueueErr)
+		return
+	}
+	for i := 0; i < count; i++ {
+		x := sq.n.getSQExec()
+		x.sq, x.ep = sq, ep
+		x.idx = first + uint32(i)
+		x.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
+		sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
 	}
 }
 
@@ -497,18 +520,26 @@ func (sq *SQ) execute(idx uint32, raw []byte) {
 		sq.dispatch(ep, idx, wqe, wqe.Inline)
 		return
 	}
-	sq.n.port.Read(wqe.Addr, int(wqe.Len), func(c pcie.Completion) {
-		if sq.epoch != ep {
-			return
-		}
-		if !c.OK() {
-			// Per-WQE gather failure: the slot is consumed with an
-			// error completion; the queue itself stays Ready.
-			sq.retire(ep, idx, CQE{Opcode: CQEError, Syndrome: SynGather, Index: uint16(idx), Queue: sq.ID}, true)
-			return
-		}
-		sq.dispatch(ep, idx, wqe, c.Data)
-	})
+	r := sq.n.getRead()
+	r.sq, r.ep, r.idx, r.wqe = sq, ep, idx, wqe
+	sq.n.port.ReadArg(wqe.Addr, int(wqe.Len), sqGatherDone, r)
+}
+
+// sqGatherDone receives a send descriptor's payload.
+func sqGatherDone(c pcie.Completion, a any) {
+	r := a.(*nicRead)
+	sq, ep, idx, wqe := r.sq, r.ep, r.idx, r.wqe
+	sq.n.putRead(r)
+	if sq.epoch != ep {
+		return
+	}
+	if !c.OK() {
+		// Per-WQE gather failure: the slot is consumed with an error
+		// completion; the queue itself stays Ready.
+		sq.retire(ep, idx, CQE{Opcode: CQEError, Syndrome: SynGather, Index: uint16(idx), Queue: sq.ID}, true)
+		return
+	}
+	sq.dispatch(ep, idx, wqe, c.Data)
 }
 
 // dispatch hands the gathered payload to the QP transport or the Ethernet
@@ -597,10 +628,14 @@ type RQ struct {
 	state QueueState
 	epoch uint32
 
-	cur       *RecvWQE
+	cur       RecvWQE // buffer being filled; valid while curOK
+	curOK     bool
 	curIdx    uint32
 	curOffset int
-	backlog   []pendingRx
+	// backlog[bhead:] is the rx FIFO awaiting placement; the array is
+	// reused from the front whenever the FIFO empties (see pushBacklog).
+	backlog []pendingRx
+	bhead   int
 
 	// Descriptor prefetch pipeline: the NIC reads descriptors ahead in
 	// cache-line batches with several reads in flight, like real
@@ -667,43 +702,61 @@ func (rq *RQ) prefetch() {
 		addr := rq.Ring + uint64(slot)*RecvWQESize
 		rq.tFetchReads.Inc()
 		rq.tFetchedDescs.Add(int64(n))
-		rq.n.port.Read(addr, n*RecvWQESize, func(c pcie.Completion) {
-			if rq.epoch != ep {
-				return // queue was reset while the fetch was in flight
-			}
-			rq.inflight--
-			if !c.OK() {
-				rq.enterError(SynQueueErr)
-				return
-			}
-			batch := make([]RecvWQE, 0, n)
-			for i := 0; i < n; i++ {
-				w, err := ParseRecvWQE(c.Data[i*RecvWQESize:])
-				if err != nil {
-					rq.n.drop(DropRQBadDesc)
-					continue
-				}
-				batch = append(batch, w)
-			}
-			if rq.fetched == nil {
-				rq.fetched = make(map[uint64][]RecvWQE)
-			}
-			rq.fetched[seq] = batch
-			// Drain in order so the consumer sees ring order even if
-			// reads completed out of order.
-			for {
-				next, ok := rq.fetched[rq.drainSeq]
-				if !ok {
-					break
-				}
-				delete(rq.fetched, rq.drainSeq)
-				rq.drainSeq++
-				rq.ready = append(rq.ready, next...)
-			}
-			rq.prefetch()
-			rq.progress()
-		})
+		r := rq.n.getRead()
+		r.rq, r.ep, r.seq, r.n = rq, ep, seq, n
+		rq.n.port.ReadArg(addr, n*RecvWQESize, rqFetchDone, r)
 	}
+}
+
+// rqFetchDone receives a batch of receive descriptors. Batches join the
+// ready queue in ring order even if reads completed out of order.
+func rqFetchDone(c pcie.Completion, a any) {
+	r := a.(*nicRead)
+	rq, ep, seq, n := r.rq, r.ep, r.seq, r.n
+	rq.n.putRead(r)
+	if rq.epoch != ep {
+		return // queue was reset while the fetch was in flight
+	}
+	rq.inflight--
+	if !c.OK() {
+		rq.enterError(SynQueueErr)
+		return
+	}
+	if seq == rq.drainSeq {
+		// In order: parse straight into the ready queue.
+		rq.ready = appendRecvWQEs(rq.ready, rq.n, c.Data, n)
+		rq.drainSeq++
+	} else {
+		if rq.fetched == nil {
+			rq.fetched = make(map[uint64][]RecvWQE)
+		}
+		rq.fetched[seq] = appendRecvWQEs(make([]RecvWQE, 0, n), rq.n, c.Data, n)
+	}
+	for {
+		next, ok := rq.fetched[rq.drainSeq]
+		if !ok {
+			break
+		}
+		delete(rq.fetched, rq.drainSeq)
+		rq.drainSeq++
+		rq.ready = append(rq.ready, next...)
+	}
+	rq.prefetch()
+	rq.progress()
+}
+
+// appendRecvWQEs parses n descriptors from data onto dst, dropping (and
+// counting) malformed ones.
+func appendRecvWQEs(dst []RecvWQE, nc *NIC, data []byte, n int) []RecvWQE {
+	for i := 0; i < n; i++ {
+		w, err := ParseRecvWQE(data[i*RecvWQESize:])
+		if err != nil {
+			nc.drop(DropRQBadDesc)
+			continue
+		}
+		dst = append(dst, w)
+	}
+	return dst
 }
 
 // deliver enqueues a received packet for buffer placement. cqe carries the
@@ -717,42 +770,75 @@ func (rq *RQ) deliver(data []byte, cqe CQE) {
 	}
 	// Bound the NIC-internal rx FIFO: a real NIC has shallow buffering
 	// and drops when the host does not post buffers fast enough.
-	if len(rq.backlog) >= 256 {
+	if rq.backlogLen() >= 256 {
 		rq.n.drop(DropRQOverflow)
 		return
 	}
-	rq.backlog = append(rq.backlog, pendingRx{data: data, cqe: cqe})
+	rq.pushBacklog(pendingRx{data: data, cqe: cqe})
 	rq.progress()
+}
+
+func (rq *RQ) backlogLen() int { return len(rq.backlog) - rq.bhead }
+
+// pushBacklog appends to the rx FIFO, first sliding live entries to the
+// front of a full array so a FIFO that never quite empties stays bounded.
+func (rq *RQ) pushBacklog(p pendingRx) {
+	if len(rq.backlog) == cap(rq.backlog) && rq.bhead > 0 {
+		n := copy(rq.backlog, rq.backlog[rq.bhead:])
+		clear(rq.backlog[n:])
+		rq.backlog, rq.bhead = rq.backlog[:n], 0
+	}
+	rq.backlog = append(rq.backlog, p)
+}
+
+// popBacklog removes the FIFO's head; an emptied FIFO rewinds to the
+// start of its array.
+func (rq *RQ) popBacklog() pendingRx {
+	p := rq.backlog[rq.bhead]
+	rq.backlog[rq.bhead] = pendingRx{}
+	rq.bhead++
+	if rq.bhead == len(rq.backlog) {
+		rq.backlog, rq.bhead = rq.backlog[:0], 0
+	}
+	return p
+}
+
+// unpopBacklog puts p back at the FIFO's head.
+func (rq *RQ) unpopBacklog(p pendingRx) {
+	if rq.bhead > 0 {
+		rq.bhead--
+	} else {
+		rq.backlog = append(rq.backlog, pendingRx{})
+		copy(rq.backlog[1:], rq.backlog)
+	}
+	rq.backlog[rq.bhead] = p
 }
 
 // progress places backlog packets into buffers from the prefetched
 // descriptor queue.
 func (rq *RQ) progress() {
-	for len(rq.backlog) > 0 {
-		if rq.cur == nil {
+	for rq.backlogLen() > 0 {
+		if !rq.curOK {
 			if len(rq.ready) == 0 {
 				if rq.ci == rq.pi {
 					// No posted buffers: drop from the tail like
 					// hardware.
 					rq.n.drop(DropRQNoBuffers)
-					rq.backlog = rq.backlog[1:]
+					rq.popBacklog()
 					continue
 				}
 				// Buffers posted but descriptors still in flight.
 				rq.prefetch()
 				return
 			}
-			w := rq.ready[0]
+			rq.cur, rq.curOK = rq.ready[0], true
 			rq.ready = rq.ready[1:]
-			rq.cur = &w
 			rq.curIdx = rq.ci
 			rq.curOffset = 0
 			rq.ci++
 			rq.prefetch()
 		}
-		p := rq.backlog[0]
-		rq.backlog = rq.backlog[1:]
-		rq.place(p)
+		rq.place(rq.popBacklog())
 	}
 }
 
@@ -773,8 +859,8 @@ func (rq *RQ) place(p pendingRx) {
 		// Doesn't fit in the remaining strides: MPRQ fragmentation —
 		// waste the tail and move to the next buffer.
 		rq.WastedBytes += int64(int(rq.cur.Len) - rq.curOffset)
-		rq.cur = nil
-		rq.backlog = append([]pendingRx{p}, rq.backlog...)
+		rq.curOK = false
+		rq.unpopBacklog(p)
 		rq.progress()
 		return
 	}
@@ -784,7 +870,7 @@ func (rq *RQ) place(p pendingRx) {
 	rq.curOffset += need
 	last := rq.curOffset+stride > int(rq.cur.Len)
 	if last {
-		rq.cur = nil // buffer exhausted; descriptor consumed
+		rq.curOK = false // buffer exhausted; descriptor consumed
 	}
 	cqe := p.cqe
 	cqe.Opcode = orDefault(cqe.Opcode, CQERecv)

@@ -14,11 +14,12 @@ package nic
 
 // sqExec carries one descriptor through the txEngine service delay.
 type sqExec struct {
-	sq   *SQ
-	ep   uint32
-	idx  uint32
-	raw  []byte
-	next *sqExec
+	sq     *SQ
+	ep     uint32
+	idx    uint32
+	raw    []byte
+	pooled bool // raw is a WQE-by-MMIO copy owned by the engine's BufPool
+	next   *sqExec
 }
 
 func (n *NIC) getSQExec() *sqExec {
@@ -40,10 +41,13 @@ func (n *NIC) putSQExec(x *sqExec) {
 // queue was reset while it waited.
 func sqExecRun(a any) {
 	x := a.(*sqExec)
-	sq, ep, idx, raw := x.sq, x.ep, x.idx, x.raw
+	sq, ep, idx, raw, pooled := x.sq, x.ep, x.idx, x.raw, x.pooled
 	sq.n.putSQExec(x)
 	if sq.epoch == ep {
-		sq.execute(idx, raw)
+		sq.execute(idx, raw) // parses raw and keeps no reference to it
+	}
+	if pooled {
+		sq.n.eng.Bufs().Put(raw)
 	}
 }
 
@@ -172,4 +176,32 @@ func rqPlaceDone(a any) {
 	if rq.epoch == ep && rq.CQ != nil {
 		rq.CQ.Push(cqe)
 	}
+}
+
+// nicRead carries one NIC-initiated DMA read's continuation: a descriptor
+// ring fetch (SQ or RQ) or a send descriptor's payload gather.
+type nicRead struct {
+	sq   *SQ
+	rq   *RQ
+	ep   uint32
+	idx  uint32  // first fetched (SQ fetch) or gathering (gather) WQE index
+	n    int     // descriptors fetched
+	seq  uint64  // RQ fetch sequence number
+	wqe  SendWQE // gather's descriptor
+	next *nicRead
+}
+
+func (n *NIC) getRead() *nicRead {
+	r := n.freeRd
+	if r != nil {
+		n.freeRd = r.next
+		r.next = nil
+		return r
+	}
+	return &nicRead{}
+}
+
+func (n *NIC) putRead(r *nicRead) {
+	*r = nicRead{next: n.freeRd}
+	n.freeRd = r
 }

@@ -19,6 +19,7 @@ type Fabric struct {
 	ports []*Port
 	next  uint64   // next free BAR base
 	freeW *writeOp // freelist of posted-write state records
+	freeR *readOp  // freelist of non-posted read state records
 
 	// Telemetry (optional; see SetTelemetry).
 	tel        *telemetry.Scope
@@ -109,6 +110,13 @@ type Port struct {
 
 	// Byte counters for utilization reporting (wire bytes incl. overhead).
 	UpBytes, DownBytes int64
+
+	// Outstanding reads in completion-deadline order, one timer that
+	// expires them (armed no later than the head's deadline; see
+	// armReadTimer), and the latest deadline ever listed.
+	rdHead, rdTail *readOp
+	rdTimer        *sim.Timer
+	rdLast         sim.Time
 
 	tlm *portTelemetry // nil unless the fabric has telemetry attached
 }
@@ -374,11 +382,27 @@ func writeDeliver(a any) {
 //   - corrupted completion payload → full wire traversal, then
 //     CplPoisoned with no data.
 //
-// Every Read arms the timeout, so a wedged completer can never deadlock
-// the simulation; the timer event is a no-op if the completion already
-// arrived.
+// Every Read joins the port's deadline-ordered list of outstanding reads,
+// so a wedged completer can never deadlock the simulation: one timer per
+// port expires whatever is still listed at its deadline, and a read that
+// completes in time simply leaves the list.
 func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
-	o := &readOp{p: p, addr: addr, size: size, done: done}
+	o := p.fab.getReadOp()
+	o.done = done
+	p.read(o, addr, size)
+}
+
+// ReadArg is Read with an arg-form completion callback, for callers that
+// keep their post-read state in a preallocated record instead of a
+// closure: done(c, arg) runs exactly once, like Read's done(c).
+func (p *Port) ReadArg(addr uint64, size int, done func(c Completion, arg any), arg any) {
+	o := p.fab.getReadOp()
+	o.adone, o.aarg = done, arg
+	p.read(o, addr, size)
+}
+
+func (p *Port) read(o *readOp, addr uint64, size int) {
+	o.p, o.addr, o.size = p, addr, size
 	o.q, o.hasTarget = p.fab.target(addr)
 	// The timeout budget scales with the transfer: real completers
 	// return large reads as a stream of CplD segments, each of which
@@ -388,11 +412,11 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 	budget := p.cfg.CplTimeout +
 		2*p.cfg.EffectiveRate().Serialize(p.cfg.ReadReqWireBytes(size)+p.cfg.CompletionWireBytes(size)) +
 		4*p.cfg.PropDelay
-	p.fab.eng.AfterArg(budget, readTimeout, o)
+	p.listRead(o, p.fab.eng.Now()+budget)
 
 	if p.fab.linkDown(p) || p.fab.dropTLP(p, telemetry.MemRd) {
-		// The request vanished before serializing; the timeout armed
-		// above is now the only way this transaction resolves.
+		// The request vanished before serializing; the completion
+		// timeout is now the only way this transaction resolves.
 		p.fab.noteDrop()
 		return
 	}
@@ -406,40 +430,137 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 	}
 }
 
-// readOp is the state of one non-posted read in flight: one allocation per
-// transaction, replacing the closure-per-hop chain. Unlike writeOp it is
-// not freelisted — the unconditionally armed timeout event keeps a
-// reference until the budget expires, long after a successful read
-// settles, and recycling under an outstanding alias invites double-use
-// bugs for a negligible saving (reads are descriptor-path, not per-byte).
+// readOp is the state of one non-posted read in flight, stepped through
+// the static trampolines below. While unsettled it is linked into its
+// port's timeout list. Records are recycled through the fabric's freelist
+// only on the readSettle path, the last hop that references them; a read
+// that timed out and whose completion never arrives (a dropped TLP, a
+// silent completer) is left to the garbage collector.
 type readOp struct {
-	p, q      *Port
-	addr      uint64
-	size      int
-	done      func(Completion)
-	data      []byte
-	status    CplStatus
-	settled   bool
-	hasTarget bool
+	p, q       *Port
+	addr       uint64
+	size       int
+	done       func(Completion)
+	adone      func(Completion, any) // arg-form completion (ReadArg); at most one of done/adone set
+	aarg       any
+	data       []byte
+	status     CplStatus
+	settled    bool
+	hasTarget  bool
+	deadline   sim.Time
+	prev, next *readOp // port timeout list while unsettled; next links the freelist
 }
 
-// settle resolves the transaction exactly once.
+func (f *Fabric) getReadOp() *readOp {
+	if o := f.freeR; o != nil {
+		f.freeR = o.next
+		o.next = nil
+		return o
+	}
+	return &readOp{}
+}
+
+func (f *Fabric) putReadOp(o *readOp) {
+	*o = readOp{next: f.freeR}
+	f.freeR = o
+}
+
+// settle resolves the transaction exactly once, taking it off the
+// port's timeout list.
 func (o *readOp) settle(c Completion) {
 	if o.settled {
 		return
 	}
 	o.settled = true
-	o.done(c)
+	o.p.unlistRead(o)
+	if o.done != nil {
+		o.done(c)
+	} else {
+		o.adone(c, o.aarg)
+	}
 }
 
-// readTimeout fires when the completion budget expires; a no-op if the
-// completion already arrived.
-func readTimeout(a any) {
-	o := a.(*readOp)
-	if !o.settled {
-		o.p.fab.noteTimeout()
+// listRead enters an unsettled read into the port's timeout list at its
+// deadline. Budgets differ by transfer size, so a later read can expire
+// sooner; the walk starts from the tail, where a new deadline almost
+// always belongs, and stops after equal deadlines so reads expiring
+// together do so in issue order.
+func (p *Port) listRead(o *readOp, deadline sim.Time) {
+	o.deadline = deadline
+	at := p.rdTail
+	for at != nil && at.deadline > deadline {
+		at = at.prev
 	}
-	o.settle(Completion{Status: CplTimedOut})
+	o.prev = at
+	if at == nil {
+		o.next = p.rdHead
+		p.rdHead = o
+	} else {
+		o.next = at.next
+		at.next = o
+	}
+	if o.next == nil {
+		p.rdTail = o
+	} else {
+		o.next.prev = o
+	}
+	if deadline > p.rdLast {
+		p.rdLast = deadline
+	}
+	p.armReadTimer()
+}
+
+// unlistRead removes a settling read from the timeout list in O(1). The
+// timer keeps its deadline: it fires at most once more, finds nothing due
+// and re-arms for the new head.
+func (p *Port) unlistRead(o *readOp) {
+	if o.prev == nil {
+		p.rdHead = o.next
+	} else {
+		o.prev.next = o.next
+	}
+	if o.next == nil {
+		p.rdTail = o.prev
+	} else {
+		o.next.prev = o.prev
+	}
+	o.prev, o.next = nil, nil
+}
+
+// armReadTimer keeps the port's timeout timer armed no later than the
+// head read's deadline. With the list empty it still fires at the latest
+// deadline ever armed on the port, so a run drains to the same instant
+// as it would with one timeout event per read: experiments that time a
+// run to quiescence read that clock.
+func (p *Port) armReadTimer() {
+	t := p.rdTimer
+	if t == nil {
+		t = p.fab.eng.NewTimer(readTimeouts, p)
+		p.rdTimer = t
+	}
+	if o := p.rdHead; o != nil {
+		if !t.Armed() || t.When() > o.deadline {
+			t.ResetAt(o.deadline)
+		}
+		return
+	}
+	if !t.Armed() && p.rdLast > p.fab.eng.Now() {
+		t.ResetAt(p.rdLast)
+	}
+}
+
+// readTimeouts is the port timer's callback: every listed read whose
+// budget has expired completes with CplTimedOut, then the timer re-arms
+// for the new head. A done callback may issue new reads; their deadlines
+// lie in the future, so the sweep never reaches them.
+func readTimeouts(a any) {
+	p := a.(*Port)
+	now := p.fab.eng.Now()
+	for o := p.rdHead; o != nil && o.deadline <= now; o = p.rdHead {
+		p.fab.noteTimeout()
+		o.settle(Completion{Status: CplTimedOut})
+	}
+	p.armReadTimer()
 }
 
 // readReqUpDone: the request finished serializing on the initiator's up
@@ -551,10 +672,13 @@ func readCplDownDone(a any) {
 	o.p.fab.eng.AfterArg(o.p.cfg.PropDelay, readSettle, o)
 }
 
-// readSettle delivers the completion to the caller.
+// readSettle delivers the completion to the caller, unless the read
+// already timed out, and recycles the record: no hop references it any
+// more.
 func readSettle(a any) {
 	o := a.(*readOp)
 	o.settle(Completion{Data: o.data, Status: o.status})
+	o.p.fab.putReadOp(o)
 }
 
 // AddrOf returns the fabric address corresponding to an offset within the
